@@ -33,7 +33,7 @@ class CssCode:
             raise ValueError(
                 f"hx has {hx.shape[1]} columns but hz has {hz.shape[1]}"
             )
-        if np.any((hx @ hz.T) % 2):
+        if np.any(gf2.mul(hx, hz.T)):
             raise ValueError("hx and hz are not orthogonal over GF(2)")
         hx.setflags(write=False)
         hz.setflags(write=False)
@@ -162,6 +162,8 @@ def transform(code: CssCode, T) -> CssCode:
 
 
 def _same_row_space(A, B) -> bool:
+    if np.array_equal(A, B):
+        return True
     ra, rb = gf2.rank(A), gf2.rank(B)
     return ra == rb and gf2.rank(np.vstack([A, B])) == ra
 

@@ -46,6 +46,18 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.uint8)
 
 
+def mul(A, B) -> np.ndarray:
+    """GF(2) product ``A @ B`` as a uint8 matrix.
+
+    The product runs as a float64 BLAS matmul reduced mod 2.  It is exact:
+    entries of the integer product are at most the inner dimension, far
+    below 2^53.  numpy's integer matmul does not use BLAS.
+    """
+    P = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)
+    np.fmod(P, 2, out=P)
+    return P.astype(np.uint8)
+
+
 def row_echelon(M, pivot_limit: int | None = None) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(2).
 
@@ -194,8 +206,8 @@ def multiply_factors(factors, n: int) -> np.ndarray:
     """Ordered product of elementary factors (identity for an empty list)."""
     M = identity(n)
     for f in factors:
-        M = (M @ elementary_matrix(f)) % 2
-    return M.astype(np.uint8)
+        M = mul(M, elementary_matrix(f))
+    return M
 
 
 # --- plain-text matrix format ------------------------------------------------

@@ -11,12 +11,18 @@ labels themselves are always 1-based.
 Construction validates everything: permutations must be bijections and the
 group generated by ``sigma`` and ``tau`` must act transitively on the darts
 (a connected hypermap).  Invalid data cannot be represented.
+
+Both classes are frozen, so derived structure is computed at most once per
+object, on first use: a :class:`Permutation` keeps its orbit partition and
+its inverse, and a :class:`Hypermap` keeps ``sigma * tau^-1``, whose orbit
+partition the face permutation in turn keeps.  Each :class:`OrbitPartition`
+carries a dart-to-orbit label table, so orbit lookups are constant time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._jsonfmt import compact_json
@@ -36,6 +42,16 @@ class NonIntegerGenusError(ValueError):
 
 class DuplicateHyperedgeError(ValueError):
     """Two chosen special darts lie on the same hyperedge."""
+
+
+def _cached(obj, name: str, compute):
+    """Derived value ``name`` of a frozen object, computed on first use."""
+    try:
+        return obj.__dict__[name]
+    except KeyError:
+        value = compute()
+        object.__setattr__(obj, name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,10 @@ class Permutation:
         return self.image[dart - 1]
 
     def inverse(self) -> "Permutation":
+        """The inverse permutation, computed once per object."""
+        return _cached(self, "_inverse", self._compute_inverse)
+
+    def _compute_inverse(self) -> "Permutation":
         inv = [0] * self.n
         for d, img in enumerate(self.image, start=1):
             inv[img - 1] = d
@@ -93,6 +113,11 @@ class Permutation:
         return Permutation(tuple(self.image[other.image[d] - 1] for d in range(self.n)))
 
     def orbits(self) -> "OrbitPartition":
+        """The orbit partition, computed once per object."""
+        return _cached(self, "_orbits", self._compute_orbits)
+
+    def _compute_orbits(self) -> "OrbitPartition":
+        image = self.image
         seen = [False] * self.n
         orbits: list[tuple[int, ...]] = []
         for start in range(1, self.n + 1):
@@ -100,11 +125,11 @@ class Permutation:
                 continue
             cycle = [start]
             seen[start - 1] = True
-            d = self(start)
+            d = image[start - 1]
             while d != start:
                 cycle.append(d)
                 seen[d - 1] = True
-                d = self(d)
+                d = image[d - 1]
             orbits.append(tuple(cycle))
         return OrbitPartition(tuple(orbits))
 
@@ -119,26 +144,30 @@ class OrbitPartition:
 
     Orbits are ordered by smallest contained dart, which fixes the
     vertex/hyperedge/face numbering used by every matrix in the package.
+    ``labels[d - 1]`` is the 0-based position of the orbit holding dart ``d``.
     """
 
     orbits: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index: dict[int, int] = {}
+        n = sum(map(len, self.orbits))
+        labels = [-1] * n
         for k, orbit in enumerate(self.orbits):
             for d in orbit:
-                index[d] = k
-        object.__setattr__(self, "_index", index)
+                if not 1 <= d <= n or labels[d - 1] >= 0:
+                    raise ValueError(f"orbits do not partition the darts 1..{n}")
+                labels[d - 1] = k
+        object.__setattr__(self, "labels", tuple(labels))
 
     def __len__(self) -> int:
         return len(self.orbits)
 
     def orbit_index(self, dart: int) -> int:
         """0-based position of the orbit containing ``dart``."""
-        try:
-            return self._index[dart]
-        except KeyError:
-            raise ValueError(f"dart {dart} not in partition") from None
+        if not 1 <= dart <= len(self.labels):
+            raise ValueError(f"dart {dart} not in partition")
+        return self.labels[dart - 1]
 
 
 @dataclass(frozen=True)
@@ -206,7 +235,7 @@ class Hypermap:
 
     def face_permutation(self) -> Permutation:
         """The permutation ``sigma * tau^-1`` whose orbits are the faces."""
-        return self.sigma * self.tau.inverse()
+        return _cached(self, "_face_permutation", lambda: self.sigma * self.tau.inverse())
 
     def vertices(self) -> OrbitPartition:
         return self.sigma.orbits()
@@ -306,19 +335,39 @@ def hypermap_to_json(H: Hypermap, special: SpecialDartSet | None = None) -> dict
     return data
 
 
+def _json_label(value, key: str) -> int:
+    # bool is a subclass of int, and int() would truncate 1.7 or parse "3".
+    if type(value) is not int:
+        raise ValueError(f"hypermap JSON {key!r} holds {value!r}, expected an integer")
+    return value
+
+
+def _json_labels(value, key: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"hypermap JSON {key!r} must be a list of dart labels")
+    return [_json_label(x, key) for x in value]
+
+
+def _json_cycles(value, key: str) -> list[list[int]]:
+    if not isinstance(value, list):
+        raise ValueError(f"hypermap JSON {key!r} must be a list of cycles")
+    return [_json_labels(cycle, key) for cycle in value]
+
+
 def hypermap_from_json(data: dict) -> tuple[Hypermap, SpecialDartSet | None]:
+    """Parse the JSON object; every label must be an exact integer."""
     if not isinstance(data, dict):
         raise ValueError("hypermap JSON must be an object")
     try:
-        n = int(data["darts"])
-        sigma_cycles = data["sigma"]
-        tau_cycles = data["tau"]
+        n = _json_label(data["darts"], "darts")
+        sigma_cycles = _json_cycles(data["sigma"], "sigma")
+        tau_cycles = _json_cycles(data["tau"], "tau")
     except KeyError as missing:
         raise ValueError(f"hypermap JSON missing key {missing}") from None
     H = Hypermap.from_cycles(n, sigma_cycles, tau_cycles)
     special = None
-    if "special" in data and data["special"] is not None:
-        special = choose_special_darts(H, preferred=data["special"])
+    if data.get("special") is not None:
+        special = choose_special_darts(H, preferred=_json_labels(data["special"], "special"))
     return H, special
 
 

@@ -21,14 +21,15 @@ and debugging.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._jsonfmt import compact_json
-from .chain import boundary_pair, nonspecial_darts
-from .css import CodeParams, CssCode, build_canonical, params, stabilizer_equal
+from .chain import BoundaryPair, boundary_pair
+from .css import CodeParams, CssCode, params, stabilizer_equal
 from .hypermap import (
     Hypermap,
     NotConnectedError,
@@ -63,11 +64,11 @@ class SurfaceGraph:
                 raise ValueError(f"face {sorted(face)} uses unknown edge labels")
         # Closed surface, observed mod 2: an edge lies on two face incidences,
         # so it shows up in exactly two face sets or cancels out of one.
+        uses = Counter(label for face in faces for label in face)
         for label in labels:
-            uses = sum(label in face for face in faces)
-            if uses not in (0, 2):
+            if uses[label] not in (0, 2):
                 raise ValueError(
-                    f"edge {label} appears in {uses} faces; expected 0 or 2"
+                    f"edge {label} appears in {uses[label]} faces; expected 0 or 2"
                 )
 
     @property
@@ -186,16 +187,20 @@ def hypermap_to_surface(H: Hypermap, S: SpecialDartSet | None = None) -> Surface
     """
     if S is None:
         S = choose_special_darts(H)
-    basis = nonspecial_darts(H, S)
-    tau_inv = H.tau.inverse()
-    edges = tuple(
-        (H.incident_vertex(d) + 1, H.incident_vertex(tau_inv(d)) + 1, d)
-        for d in basis
-    )
-    bp = boundary_pair(H, S)
+    return _surface_from_pair(H, boundary_pair(H, S))
+
+
+def _surface_from_pair(H: Hypermap, bp: BoundaryPair) -> SurfaceGraph:
+    """Surface graph read off the special-basis boundary pair of ``H``."""
+    vertex = H.vertices().labels
+    tau_inv = H.tau.inverse().image
+    basis = bp.basis.darts
+    edges = tuple((vertex[d - 1] + 1, vertex[tau_inv[d - 1] - 1] + 1, d) for d in basis)
+    rows, cols = np.nonzero(bp.p2)  # row-major, so grouped by face
+    labels = np.array(basis)[cols]
+    bounds = np.searchsorted(rows, np.arange(bp.p2.shape[0] + 1))
     faces = tuple(
-        frozenset(basis[k] for k in np.flatnonzero(bp.p2[f]))
-        for f in range(bp.p2.shape[0])
+        frozenset(labels[lo:hi].tolist()) for lo, hi in zip(bounds[:-1], bounds[1:])
     )
     return SurfaceGraph(len(H.vertices()), edges, faces)
 
@@ -248,11 +253,16 @@ class EquivalenceReport:
 
 
 def verify_equivalence(H: Hypermap, S: SpecialDartSet | None = None) -> EquivalenceReport:
-    """Build the canonical code and its surface code and compare stabilizers."""
+    """Build the canonical code and its surface code and compare stabilizers.
+
+    Both come from one boundary pair: the canonical code is ``(p1, p2)`` and
+    the surface graph is read off the same matrices.
+    """
     if S is None:
         S = choose_special_darts(H)
-    hmap_code = build_canonical(H, S)
-    graph = hypermap_to_surface(H, S)
+    bp = boundary_pair(H, S)
+    hmap_code = CssCode(bp.p1, bp.p2)
+    graph = _surface_from_pair(H, bp)
     surf_code = surface_code(graph)
     return EquivalenceReport(
         equal=stabilizer_equal(hmap_code, surf_code),

@@ -16,7 +16,13 @@ from hypermap_codes import (
     project_nonspecial,
 )
 from hypermap_codes import gf2
-from util import random_hypermap, random_invertible, torus_hypermap
+from util import (
+    random_hypermap,
+    random_invertible,
+    random_special_darts,
+    reference_boundary_rows,
+    torus_hypermap,
+)
 
 TORUS_P2 = np.array(
     [
@@ -133,6 +139,22 @@ def test_boundary_pair_chain_condition_random():
         bp = boundary_pair(H, choose_special_darts(H))
         assert not ((bp.p1 @ bp.p2.T) % 2).any()
         assert not (bp.p2.sum(axis=0) % 2).any()
+
+
+def test_boundary_pair_matches_reference_helpers():
+    rng = random.Random(2024)
+    one_dart_edges = loops = 0
+    for _ in range(60):
+        H = random_hypermap(rng, 1, 20)
+        S = random_special_darts(rng, H)
+        p1, p2 = reference_boundary_rows(H, S)
+        bp = boundary_pair(H, S)
+        assert np.array_equal(bp.p1, p1)
+        assert np.array_equal(bp.p2, p2)
+        assert bp.basis.darts == nonspecial_darts(H, S)
+        one_dart_edges += sum(len(e) == 1 for e in H.hyperedges().orbits)
+        loops += int(np.sum(~p1.any(axis=0)))
+    assert one_dart_edges and loops
 
 
 def test_basis_change_identity_is_noop():

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hypermap_codes import gf2
 from hypermap_codes.cli import main
@@ -36,6 +37,31 @@ def test_info_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
     assert main(["info", str(path)]) == 2
+
+
+TORUS_SIGMA = [[1, 8, 3, 6], [2, 5, 4, 7]]
+TORUS_TAU = [[1, 2, 3, 4], [5, 6, 7, 8]]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"darts": 8, "sigma": 5, "tau": TORUS_TAU},
+        {"darts": 8, "sigma": TORUS_SIGMA, "tau": TORUS_TAU, "special": 5},
+        {"darts": 2, "sigma": [[1, 2]], "tau": [], "special": [1.7, 2]},
+        {"darts": True, "sigma": [], "tau": []},
+        {"darts": "3", "sigma": [[1, 2, 3]], "tau": []},
+        {"darts": 2, "sigma": [], "tau": [1, 2]},
+    ],
+    ids=["sigma-int", "special-int", "special-float", "darts-bool", "darts-str", "tau-flat"],
+)
+def test_info_non_integer_labels_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_build_golden_stabilizer(tmp_path, capsys):

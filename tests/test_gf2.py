@@ -87,6 +87,16 @@ def test_row_space_length_mismatch():
         gf2.row_space_contains(TORUS_HZ, np.ones(5, dtype=np.uint8))
 
 
+def test_mul_matches_integer_product():
+    rng = np.random.default_rng(5)
+    for rows, inner, cols in [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (7, 40, 9), (30, 300, 20)]:
+        A = rng.integers(0, 2, (rows, inner), dtype=np.uint8)
+        B = rng.integers(0, 2, (inner, cols), dtype=np.uint8)
+        P = gf2.mul(A, B)
+        assert P.dtype == np.uint8
+        assert np.array_equal(P, (A.astype(np.int64) @ B.astype(np.int64)) % 2)
+
+
 def test_invert_identity():
     assert np.array_equal(gf2.invert(gf2.identity(4)), gf2.identity(4))
 

@@ -6,6 +6,7 @@ import pytest
 from hypermap_codes import (
     Hypermap,
     NotConnectedError,
+    OrbitPartition,
     Permutation,
     RotationGraph,
     SurfaceGraph,
@@ -15,6 +16,7 @@ from hypermap_codes import (
     graph_to_hypermap,
     hypermap_to_surface,
     intermediate_surface,
+    nonspecial_darts,
     params,
     rotation_faces,
     rotation_to_surface,
@@ -31,7 +33,13 @@ from hypermap_codes.surface import (
     surface_graph_from_json,
     surface_graph_to_json,
 )
-from util import random_hypermap, random_rotation_graph, torus_hypermap
+from util import (
+    random_hypermap,
+    random_rotation_graph,
+    random_special_darts,
+    reference_boundary_rows,
+    torus_hypermap,
+)
 
 
 def test_torus_surface_graph_golden():
@@ -109,6 +117,51 @@ def test_verify_equivalence_randomized():
     for _ in range(30):
         H = random_hypermap(rng, 2, 16)
         assert verify_equivalence(H, choose_special_darts(H)).equal
+
+
+def test_hypermap_to_surface_matches_reference_rows():
+    rng = random.Random(2025)
+    one_dart_edges = loops = 0
+    for _ in range(60):
+        H = random_hypermap(rng, 1, 20)
+        S = random_special_darts(rng, H)
+        _, p2 = reference_boundary_rows(H, S)
+        basis = nonspecial_darts(H, S)
+        vertex = {d: k + 1 for k, orbit in enumerate(H.vertices().orbits) for d in orbit}
+        tau_pred = {img: d for d, img in enumerate(H.tau.image, start=1)}
+        edges = tuple((vertex[d], vertex[tau_pred[d]], d) for d in basis)
+        faces = tuple(frozenset(basis[k] for k in np.flatnonzero(row)) for row in p2)
+        G = hypermap_to_surface(H, S)
+        assert G == SurfaceGraph(len(H.vertices()), edges, faces)
+        one_dart_edges += sum(len(e) == 1 for e in H.hyperedges().orbits)
+        loops += sum(a == b for a, b, _ in G.edges)
+    assert one_dart_edges and loops
+
+
+def test_verify_equivalence_builds_orbit_partitions_once(monkeypatch):
+    built = []
+    original = OrbitPartition.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(OrbitPartition, "__post_init__", counting)
+    counts = []
+    for L in (8, 16):
+        H, S = graph_to_hypermap(toric_rotation_graph(L, L))
+        built.clear()
+        assert verify_equivalence(H, S).equal
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 3
+
+
+def test_verify_equivalence_toric_24x24():
+    H, S = graph_to_hypermap(toric_rotation_graph(24, 24))
+    report = verify_equivalence(H, S)
+    assert report.equal
+    for p in (report.hypermap_params, report.surface_params):
+        assert (p.n, p.k) == (1152, 2)
 
 
 def test_incidence_columns_have_weight_zero_or_two():

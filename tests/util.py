@@ -11,9 +11,14 @@ from hypermap_codes import (
     NotConnectedError,
     Permutation,
     RotationGraph,
+    SpecialDartSet,
     build_canonical,
     choose_special_darts,
+    dart_vertex_sum,
+    face_dart_sum,
+    nonspecial_darts,
     params,
+    project_nonspecial,
 )
 from hypermap_codes import gf2
 
@@ -40,6 +45,23 @@ def random_hypermap(rng, min_darts=2, max_darts=20):
             return Hypermap(random_permutation(rng, n), random_permutation(rng, n))
         except NotConnectedError:
             continue
+
+
+def random_special_darts(rng, H):
+    """A random valid special-dart choice: any one dart of every hyperedge."""
+    return SpecialDartSet(tuple(rng.choice(orbit) for orbit in H.hyperedges().orbits))
+
+
+def reference_boundary_rows(H, S):
+    """``(p1, p2)`` stacked from the per-dart and per-face helpers."""
+    basis = nonspecial_darts(H, S)
+    n_vertices, n_faces = len(H.vertices()), len(H.faces())
+    p1 = np.array([dart_vertex_sum(H, d) for d in basis], dtype=np.uint8)
+    p2 = np.array(
+        [project_nonspecial(H, S, face_dart_sum(H, f)) for f in range(n_faces)],
+        dtype=np.uint8,
+    )
+    return p1.reshape(len(basis), n_vertices).T, p2.reshape(n_faces, len(basis))
 
 
 def random_invertible(rng, n):
