@@ -1,9 +1,10 @@
-"""Benchmark of the distance oracle's compiled kernel against the pure fallback.
+"""Benchmark of the distance oracle on codes of increasing difficulty.
 
-Both backends run the same weight-ordered search on identical packed inputs;
-this script times them side by side on codes of increasing difficulty.  The
-deep case is the [[23,1,7]] CSS code built from the binary Golay code, whose
-search has to climb to weight 7 before finding a logical operator.
+Each case is timed through ``distance_split``, best of ``--repeats`` runs.
+The shallow cases end in the weight-ordered loop; the deep case is the
+[[23,1,7]] CSS code built from the binary Golay code, whose search switches
+to enumerating the kernel after weight 3 and finds its logical operators at
+weight 7.
 
 Run:  python3 benchmarks/bench_distance.py [--repeats N]
 """
@@ -16,18 +17,11 @@ import time
 
 import numpy as np
 
-from hypermap_codes import _distance_py, gf2
+from hypermap_codes import gf2
 from hypermap_codes.css import CssCode, build_canonical, params
 from hypermap_codes.distance import distance_split
 from hypermap_codes.hypermap import Hypermap, NotConnectedError, Permutation
 from hypermap_codes.surface import rotation_to_surface, surface_code, toric_rotation_graph
-
-try:
-    from hypermap_codes import _distance_core
-
-    COMPILED = _distance_core.min_logical_weight
-except ImportError:
-    COMPILED = None
 
 # Binary Golay code generator polynomial, coefficients from x^0 to x^11.
 GOLAY_G = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
@@ -67,12 +61,12 @@ def cases():
     yield "golay [[23,1,7]]", golay_css()
 
 
-def time_backend(code, kernel, repeats: int) -> tuple[float, tuple[int, int]]:
+def time_distance(code, repeats: int) -> tuple[float, tuple[int, int]]:
     best = float("inf")
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = distance_split(code, kernel=kernel)
+        result = distance_split(code)
         best = min(best, time.perf_counter() - start)
     return best, result
 
@@ -82,38 +76,13 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats per case")
     args = parser.parse_args()
 
-    backends = []
-    if COMPILED is not None:
-        backends.append(("compiled", COMPILED))
-    else:
-        print("note: compiled kernel not built; timing the fallback only\n")
-    backends.append(("python", _distance_py.min_logical_weight))
-
-    header = f"{'code':<20} {'n':>3} {'k':>2} {'d':>2}"
-    for name, _ in backends:
-        header += f" {name + ' [s]':>14}"
-    if len(backends) == 2:
-        header += f" {'speedup':>9}"
+    header = f"{'code':<20} {'n':>3} {'k':>2} {'dx':>3} {'dz':>3} {'best [s]':>12}"
     print(header)
     print("-" * len(header))
-
     for label, code in cases():
         p = params(code)
-        times = []
-        dist = None
-        for _, kernel in backends:
-            seconds, (dx, dz) = time_backend(code, kernel, args.repeats)
-            times.append(seconds)
-            if dist is None:
-                dist = min(dx, dz)
-            else:
-                assert dist == min(dx, dz), "backends disagree"
-        row = f"{label:<20} {p.n:>3} {p.k:>2} {dist:>2}"
-        for seconds in times:
-            row += f" {seconds:>14.6f}"
-        if len(times) == 2:
-            row += f" {times[1] / times[0]:>8.1f}x"
-        print(row)
+        seconds, (dx, dz) = time_distance(code, args.repeats)
+        print(f"{label:<20} {p.n:>3} {p.k:>2} {dx:>3} {dz:>3} {seconds:>12.6f}")
 
 
 if __name__ == "__main__":

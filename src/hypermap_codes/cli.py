@@ -8,6 +8,7 @@ Reports are line-oriented ``key=value`` where machine-readable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -150,7 +151,9 @@ def cmd_compare(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="hypermap-codes",
         description="Hypermap-homology CSS codes and their surface-code equivalents.",

@@ -338,19 +338,19 @@ def hypermap_to_json(H: Hypermap, special: SpecialDartSet | None = None) -> dict
 def _json_label(value, key: str) -> int:
     # bool is a subclass of int, and int() would truncate 1.7 or parse "3".
     if type(value) is not int:
-        raise ValueError(f"hypermap JSON {key!r} holds {value!r}, expected an integer")
+        raise ValueError(f"JSON {key!r} holds {value!r}, expected an integer")
     return value
 
 
 def _json_labels(value, key: str) -> list[int]:
     if not isinstance(value, list):
-        raise ValueError(f"hypermap JSON {key!r} must be a list of dart labels")
+        raise ValueError(f"JSON {key!r} must be a list of integers")
     return [_json_label(x, key) for x in value]
 
 
 def _json_cycles(value, key: str) -> list[list[int]]:
     if not isinstance(value, list):
-        raise ValueError(f"hypermap JSON {key!r} must be a list of cycles")
+        raise ValueError(f"JSON {key!r} must be a list of integer lists")
     return [_json_labels(cycle, key) for cycle in value]
 
 

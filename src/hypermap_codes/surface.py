@@ -35,6 +35,8 @@ from .hypermap import (
     NotConnectedError,
     Permutation,
     SpecialDartSet,
+    _json_cycles,
+    _json_label,
     choose_special_darts,
 )
 
@@ -344,13 +346,14 @@ def surface_graph_from_json(data: dict) -> SurfaceGraph:
     if not isinstance(data, dict):
         raise ValueError("surface graph JSON must be an object")
     try:
-        return SurfaceGraph(
-            int(data["vertices"]),
-            tuple((a, b, label) for a, b, label in data["edges"]),
-            tuple(frozenset(face) for face in data["faces"]),
-        )
+        vertices = _json_label(data["vertices"], "vertices")
+        edges = _json_cycles(data["edges"], "edges")
+        faces = _json_cycles(data["faces"], "faces")
     except KeyError as missing:
         raise ValueError(f"surface graph JSON missing key {missing}") from None
+    if any(len(edge) != 3 for edge in edges):
+        raise ValueError("surface graph JSON 'edges' must hold [a, b, label] triples")
+    return SurfaceGraph(vertices, tuple(map(tuple, edges)), tuple(map(frozenset, faces)))
 
 
 def rotation_graph_to_json(G: RotationGraph) -> dict:
@@ -365,13 +368,14 @@ def rotation_graph_from_json(data: dict) -> RotationGraph:
     if not isinstance(data, dict):
         raise ValueError("rotation graph JSON must be an object")
     try:
-        return RotationGraph(
-            int(data["vertices"]),
-            tuple((a, b) for a, b in data["edges"]),
-            tuple(tuple(cycle) for cycle in data["rotation"]),
-        )
+        vertices = _json_label(data["vertices"], "vertices")
+        edges = _json_cycles(data["edges"], "edges")
+        rotation = _json_cycles(data["rotation"], "rotation")
     except KeyError as missing:
         raise ValueError(f"rotation graph JSON missing key {missing}") from None
+    if any(len(edge) != 2 for edge in edges):
+        raise ValueError("rotation graph JSON 'edges' must hold [a, b] pairs")
+    return RotationGraph(vertices, tuple(map(tuple, edges)), tuple(map(tuple, rotation)))
 
 
 def load_surface_graph(path) -> SurfaceGraph:

@@ -44,24 +44,41 @@ TORUS_TAU = [[1, 2, 3, 4], [5, 6, 7, 8]]
 
 
 @pytest.mark.parametrize(
-    "data",
+    "command, data",
     [
-        {"darts": 8, "sigma": 5, "tau": TORUS_TAU},
-        {"darts": 8, "sigma": TORUS_SIGMA, "tau": TORUS_TAU, "special": 5},
-        {"darts": 2, "sigma": [[1, 2]], "tau": [], "special": [1.7, 2]},
-        {"darts": True, "sigma": [], "tau": []},
-        {"darts": "3", "sigma": [[1, 2, 3]], "tau": []},
-        {"darts": 2, "sigma": [], "tau": [1, 2]},
+        pytest.param("info", {"darts": 8, "sigma": 5, "tau": TORUS_TAU}, id="sigma-int"),
+        pytest.param("info", {"darts": 8, "sigma": TORUS_SIGMA, "tau": TORUS_TAU, "special": 5}, id="special-int"),
+        pytest.param("info", {"darts": 2, "sigma": [[1, 2]], "tau": [], "special": [1.7, 2]}, id="special-float"),
+        pytest.param("info", {"darts": True, "sigma": [], "tau": []}, id="darts-bool"),
+        pytest.param("info", {"darts": "3", "sigma": [[1, 2, 3]], "tau": []}, id="darts-str"),
+        pytest.param("info", {"darts": 2, "sigma": [], "tau": [1, 2]}, id="tau-flat"),
+        pytest.param("from-graph", {"vertices": 1, "edges": 5, "rotation": [[]]}, id="graph-edges-int"),
+        pytest.param("from-graph", {"vertices": True, "edges": [], "rotation": [[]]}, id="graph-vertices-bool"),
+        pytest.param("from-graph", {"vertices": 1, "edges": [[1, 1.0]], "rotation": [[1, 2]]}, id="graph-end-float"),
+        pytest.param("from-graph", {"vertices": 1, "edges": [[1, 1, 1]], "rotation": [[1, 2]]}, id="graph-edge-triple"),
+        pytest.param("from-graph", {"vertices": 1, "edges": [[1, 1]], "rotation": [1, 2]}, id="graph-rotation-flat"),
+        pytest.param("from-graph", {"vertices": 1, "edges": [[1, 1]], "rotation": [["1", 2]]}, id="graph-rotation-str"),
     ],
-    ids=["sigma-int", "special-int", "special-float", "darts-bool", "darts-str", "tau-flat"],
 )
-def test_info_non_integer_labels_exit_2(tmp_path, capsys, data):
+def test_info_non_integer_labels_exit_2(tmp_path, capsys, command, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    assert main(["info", str(path)]) == 2
+    out = ["--out", str(tmp_path / "out.json")] if command == "from-graph" else []
+    assert main([command, str(path), *out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_consecutive_calls_are_independent(capsys):
+    # The parser is built once per process; one call's flags must not leak into the next.
+    assert main(["build", TORUS, "--special", "3,7", "--distance"]) == 0
+    assert capsys.readouterr().out.startswith("n=6 k=2 d=2 dx=2 dz=2\n")
+    assert main(["info", TORUS]) == 0
+    assert capsys.readouterr().out == "V=2 E=2 F=4 W=8 genus=1\nspecial=3,7\n"
+    assert main(["build", TORUS]) == 0
+    assert capsys.readouterr().out.startswith("n=6 k=2\n")
 
 
 def test_build_golden_stabilizer(tmp_path, capsys):

@@ -14,8 +14,8 @@ from hypermap_codes import (
     params,
     transform,
 )
-from hypermap_codes import _distance_py, distance, gf2
-from util import random_css_code, torus_hypermap
+from hypermap_codes import distance, gf2
+from util import golay_css, random_css_code, torus_hypermap
 
 
 def torus_code():
@@ -80,47 +80,80 @@ def test_oracle_matches_exhaustive_on_random_codes():
         assert distance_bruteforce(code) == distance_exhaustive(code)
 
 
-def test_backends_agree():
-    rng = random.Random(59)
-    for _ in range(6):
-        code = random_css_code(rng, 3, 16, max_qubits=10, require_logical=True)
-        selected = distance_split(code)
-        pure = distance_split(code, kernel=_distance_py.min_logical_weight)
-        assert selected == pure
-
-
-def test_pure_kernel_directly():
+def test_sector_search_directly():
     # Kernel of [[1,1,0],[0,1,1]] is spanned by (1,1,1); excluding nothing,
     # the minimum logical weight is 3.
     stab = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
-    cols = [int(stab[0, j]) | (int(stab[1, j]) << 1) for j in range(3)]
-    assert _distance_py.min_logical_weight(3, cols, [], []) == 3
+    assert distance._sector_min_weight(stab, np.zeros((0, 3), dtype=np.uint8)) == 3
     # Excluding the vector itself leaves nothing.
-    assert _distance_py.min_logical_weight(3, cols, [0b111], [0]) == 0
+    assert distance._sector_min_weight(stab, np.array([[1, 1, 1]], dtype=np.uint8)) == 0
 
 
-def test_kernels_agree_on_random_packed_inputs():
-    try:
-        from hypermap_codes._distance_core import min_logical_weight as compiled
-    except ImportError:
-        pytest.skip("compiled kernel not built")
+def forced_split(code, strategy):
+    """``(dx, dz)`` from one strategy alone, 0 for a sector without logicals."""
+    result = []
+    for stab, excl in ((code.hz, code.hx), (code.hx, code.hz)):
+        cols, reducer, _ = distance._packed_sector(stab, excl)
+        if strategy == "weight":
+            result.append(distance._weight_search(cols, reducer, len(cols)))
+        else:
+            result.append(distance._kernel_search(gf2.kernel_basis(stab), reducer))
+    return tuple(result)
 
-    def pack(bits):
-        return sum(int(b) << j for j, b in enumerate(bits))
 
-    rng = random.Random(97)
+@pytest.mark.parametrize("strategy", ["weight", "kernel"])
+def test_each_strategy_matches_exhaustive(strategy):
+    rng = random.Random(67)
+    codes = [random_css_code(rng, 2, 16, max_qubits=12) for _ in range(16)]
+    # An appended zero column is a weight-1 logical in both sectors.
+    codes += [CssCode(np.pad(c.hx, ((0, 0), (0, 1))), np.pad(c.hz, ((0, 0), (0, 1)))) for c in codes[:4]]
+    ks = [params(code).k for code in codes]
+    assert 0 in ks and any(ks)
+    for code, k in zip(codes, ks):
+        dx, dz = forced_split(code, strategy)
+        if k == 0:
+            assert (dx, dz) == (0, 0)
+            with pytest.raises(NoLogicalOperatorError):
+                distance_exhaustive(code)
+        else:
+            assert min(dx, dz) == distance_exhaustive(code)
+            assert (dx, dz) == distance_split(code)
+
+
+@pytest.mark.parametrize("table_bits, chunk_words", [(14, 1 << 16), (2, 8)])
+def test_strategies_agree_on_random_sectors(monkeypatch, table_bits, chunk_words):
+    # Arbitrary check and excluded matrices: the excluded rows need not lie in ker(H).
+    # A 2-vector table in chunks of 8 words runs the high-combination loop on small kernels.
+    monkeypatch.setattr(distance, "TABLE_BITS", table_bits)
+    monkeypatch.setattr(distance, "CHUNK_WORDS", chunk_words)
+    rng = np.random.default_rng(97)
     for _ in range(200):
-        n = rng.randint(1, 10)
-        n_rows = rng.randint(0, 6)
-        cols = [rng.getrandbits(n_rows) if n_rows else 0 for _ in range(n)]
-        m = rng.randint(0, 4)
-        E = np.array(
-            [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)], dtype=np.uint8
-        ).reshape(m, n)
-        R, pivots = gf2.row_echelon(E)
-        rows = [pack(R[r]) for r in range(len(pivots))]
-        expected = _distance_py.min_logical_weight(n, cols, rows, list(pivots))
-        assert compiled(n, cols, rows, list(pivots)) == expected
+        n = int(rng.integers(1, 11))
+        stab = rng.integers(0, 2, (rng.integers(0, 7), n), dtype=np.uint8)
+        excl = rng.integers(0, 2, (rng.integers(0, 5), n), dtype=np.uint8)
+        cols, reducer, _ = distance._packed_sector(stab, excl)
+        expected = distance._weight_search(cols, reducer, n)
+        assert distance._kernel_search(gf2.kernel_basis(stab), reducer) == expected
+        assert distance._sector_min_weight(stab, excl) == expected
+
+
+def test_golay_distance_uses_kernel_enumeration(monkeypatch):
+    depths, enumerated = [], []
+    weight_search, kernel_search = distance._weight_search, distance._kernel_search
+
+    def spy_weight(cols, reducer, max_weight):
+        depths.append(max_weight)
+        return weight_search(cols, reducer, max_weight)
+
+    def spy_kernel(basis, reducer):
+        enumerated.append(len(basis))
+        return kernel_search(basis, reducer)
+
+    monkeypatch.setattr(distance, "_weight_search", spy_weight)
+    monkeypatch.setattr(distance, "_kernel_search", spy_kernel)
+    assert distance_split(golay_css()) == (7, 7)
+    # dim ker(H) = 12: C(23,1) + C(23,2) + C(23,3) = 2047 <= 2^12 < 2047 + C(23,4).
+    assert depths == [3, 3] and enumerated == [12, 12]
 
 
 def test_zero_qubit_code_has_no_logicals():
@@ -148,7 +181,3 @@ def test_distance_invariant_under_generator_changes():
 def test_distance_deterministic():
     code = torus_code()
     assert [distance_bruteforce(code) for _ in range(3)] == [2, 2, 2]
-
-
-def test_backend_reports_name():
-    assert distance.BACKEND in ("compiled", "python")

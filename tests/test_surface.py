@@ -280,6 +280,23 @@ def test_surface_graph_json_round_trip():
     assert surface_graph_from_json(surface_graph_to_json(G)) == G
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": True, "edges": [[1, 1, 1]], "faces": [[1]]},
+        {"vertices": 1, "edges": 5, "faces": []},
+        {"vertices": 1, "edges": [[1, 1]], "faces": []},
+        {"vertices": 1, "edges": [[1, 1, 1.5]], "faces": []},
+        {"vertices": 1, "edges": [[1, 1, 1]], "faces": [1]},
+        {"vertices": 1, "edges": [[1, 1, 1]], "faces": [["1"]]},
+    ],
+    ids=["vertices-bool", "edges-int", "edge-pair", "label-float", "faces-flat", "face-str"],
+)
+def test_surface_graph_json_rejects_non_integers(data):
+    with pytest.raises(ValueError):
+        surface_graph_from_json(data)
+
+
 def test_rotation_graph_json_round_trip():
     G = toric_rotation_graph(2, 3)
     assert rotation_graph_from_json(rotation_graph_to_json(G)) == G

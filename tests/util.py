@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from hypermap_codes import (
+    CssCode,
     Hypermap,
     NotConnectedError,
     Permutation,
@@ -101,3 +102,12 @@ def random_rotation_graph(rng, max_edges=8):
         rng.shuffle(ends)
         rotation.append(tuple(ends))
     return RotationGraph(n_vertices, tuple(edges), tuple(rotation))
+
+
+def golay_css():
+    """[[23,1,7]] CSS code: both sectors span the dual of the binary Golay code."""
+    G = np.zeros((12, 23), dtype=np.uint8)
+    for r in range(12):
+        G[r, r : r + 12] = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+    H = gf2.kernel_basis(G)
+    return CssCode(H, H)
