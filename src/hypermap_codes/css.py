@@ -135,30 +135,60 @@ def cnot_circuit(T) -> CnotCircuit:
     return CnotCircuit(tuple(CnotGate(f.i, f.j) for f in factors), T.shape[0])
 
 
-def apply_cnot(code: CssCode, gate: CnotGate) -> CssCode:
-    """Column action of one CNOT: control into target on hx, target into control on hz."""
-    if gate.control > code.n or gate.target > code.n:
-        raise ValueError(f"gate {gate} exceeds {code.n} qubits")
-    c, t = gate.control - 1, gate.target - 1
-    hx = np.array(code.hx)
-    hz = np.array(code.hz)
-    hx[:, t] ^= hx[:, c]
-    hz[:, c] ^= hz[:, t]
+def _bit_columns(M: np.ndarray) -> list[int]:
+    """Columns of ``M`` as Python ints: each column's bits packed big-endian, row 0 first."""
+    width = (M.shape[0] + 7) // 8
+    data = np.packbits(M.T, axis=1).tobytes()
+    return [int.from_bytes(data[c * width : (c + 1) * width], "big") for c in range(M.shape[1])]
+
+
+def _from_bit_columns(columns: list[int], rows: int) -> np.ndarray:
+    """Inverse of :func:`_bit_columns` for a matrix with ``rows`` rows."""
+    width = (rows + 7) // 8
+    data = b"".join(col.to_bytes(width, "big") for col in columns)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(columns), width)
+    return np.unpackbits(packed, axis=1, count=rows).T
+
+
+def _apply_gates(code: CssCode, gates) -> CssCode:
+    """Apply ``gates`` in order to one working copy of the code, then validate once.
+
+    Every column is held as a Python int, so a gate is one XOR of two ints in
+    each sector.  The gates must already be checked against ``code.n``.
+    """
+    xcols, zcols = _bit_columns(code.hx), _bit_columns(code.hz)
+    for gate in gates:
+        c, t = gate.control - 1, gate.target - 1
+        xcols[t] ^= xcols[c]
+        zcols[c] ^= zcols[t]
+    hx = _from_bit_columns(xcols, code.hx.shape[0])
+    hz = _from_bit_columns(zcols, code.hz.shape[0])
     return CssCode(hx, hz)
 
 
-def transform(code: CssCode, T) -> CssCode:
-    """Apply the CNOT circuit of ``T`` gate by gate.
+def apply_cnot(code: CssCode, gate: CnotGate) -> CssCode:
+    """Column action of one CNOT: control into target on hx, target into control on hz.
 
-    The result equals rebuilding the code from the basis-changed boundary
-    pair; both routes are exercised by the tests.
+    Runs the same in-place loop as :func:`transform` on a one-gate list.
+    """
+    if gate.control > code.n or gate.target > code.n:
+        raise ValueError(f"gate {gate} exceeds {code.n} qubits")
+    return _apply_gates(code, [gate])
+
+
+def transform(code: CssCode, T) -> CssCode:
+    """Apply the CNOT circuit of ``T`` to the code.
+
+    The circuit is built and checked as by :func:`cnot_circuit`; its gates
+    then act in order on one working copy of ``hx`` and ``hz``, and the
+    result is validated once, as a single :class:`CssCode`.  It equals
+    rebuilding the code from the basis-changed boundary pair; both routes
+    are exercised by the tests.
     """
     circuit = cnot_circuit(T)
     if circuit.n != code.n:
         raise ValueError(f"basis change acts on {circuit.n} qubits, code has {code.n}")
-    for gate in circuit.gates:
-        code = apply_cnot(code, gate)
-    return code
+    return _apply_gates(code, circuit.gates)
 
 
 def _same_row_space(A, B) -> bool:

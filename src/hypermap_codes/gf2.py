@@ -178,27 +178,33 @@ def decompose_elementary(T) -> list[ElementaryFactor]:
     with the smallest column to its right holding a 1 (such a column exists
     exactly when the matrix is invertible).
     """
-    M = as_matrix(T).copy()
+    M = as_matrix(T)
     n = M.shape[0]
     if M.shape[1] != n:
         raise ValueError(f"matrix is {M.shape[0]}x{M.shape[1]}, not square")
 
+    # Column c of M is row c of C, so a column addition is one contiguous XOR.
+    C = np.array(M.T, order="C")
     applied: list[ElementaryFactor] = []
     for i in range(n):
-        if M[i, i] == 0:
-            hits = np.flatnonzero(M[i, i + 1 :])
+        if C[i, i] == 0:
+            hits = np.flatnonzero(C[i + 1 :, i])
             if hits.size == 0:
                 raise SingularMatrixError(f"matrix is singular at row {i + 1}")
             j = i + 1 + int(hits[0])
-            M[:, i] ^= M[:, j]
+            C[i] ^= C[j]
             applied.append(ElementaryFactor(j + 1, i + 1, n))
-        for j in range(n):
-            if j != i and M[i, j]:
-                M[:, j] ^= M[:, i]
-                applied.append(ElementaryFactor(i + 1, j + 1, n))
+        # Clearing row i adds column i into every other column with a 1 there.
+        # These factors share their source, so they commute and stay in
+        # ascending column order.
+        hits = np.flatnonzero(C[:, i])
+        hits = hits[hits != i]
+        if hits.size:
+            C[hits] ^= C[i]
+            applied.extend(ElementaryFactor(i + 1, j + 1, n) for j in hits.tolist())
     # The applied product reduces T to the identity, so it equals T^-1; each
     # factor is its own inverse, hence the reversed list multiplies to T.
-    assert np.array_equal(M, identity(n))
+    assert np.array_equal(C, identity(n))
     return applied[::-1]
 
 
@@ -215,34 +221,51 @@ def multiply_factors(factors, n: int) -> np.ndarray:
 
 def format_matrix(M) -> str:
     M = as_matrix(M)
-    lines = [f"{M.shape[0]} {M.shape[1]}"]
-    for row in M:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    rows, cols = M.shape
+    # Each row is "b b ... b\n": digits at even offsets, separators at odd ones.
+    body = np.full((rows, max(2 * cols, 1)), ord(" "), dtype=np.uint8)
+    body[:, 0 : 2 * cols : 2] = M + ord("0")
+    body[:, -1] = ord("\n")
+    return f"{rows} {cols}\n" + body.tobytes().decode("ascii")
+
+
+def _header_count(token: str, line: str) -> int:
+    if token.isascii() and token.isdigit():
+        return int(token)
+    if token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
+        raise ValueError("matrix dimensions must be nonnegative")
+    raise ValueError(f"bad matrix header {line!r}, expected 'rows cols'")
 
 
 def parse_matrix(text: str) -> np.ndarray:
+    """Parse the plain-text matrix format.
+
+    The header must be two ASCII digit strings.  Row and entry counts are
+    checked against it before anything is allocated.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError(f"bad matrix header {lines[0]!r}, expected 'rows cols'")
-    rows, cols = (int(tok) for tok in header)
-    if rows < 0 or cols < 0:
-        raise ValueError("matrix dimensions must be nonnegative")
+    rows, cols = (_header_count(tok, lines[0]) for tok in header)
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} matrix rows, found {len(lines) - 1}")
-    M = np.zeros((rows, cols), dtype=np.uint8)
-    for r, line in enumerate(lines[1:]):
-        entries = line.split()
-        if len(entries) != cols:
-            raise ValueError(f"row {r + 1} has {len(entries)} entries, expected {cols}")
-        for c, tok in enumerate(entries):
-            if tok not in ("0", "1"):
-                raise ValueError(f"bad matrix entry {tok!r} in row {r + 1}")
-            M[r, c] = int(tok)
-    return M
+    entries = [line.split() for line in lines[1:]]
+    for r, row in enumerate(entries):
+        if len(row) != cols:
+            raise ValueError(f"row {r + 1} has {len(row)} entries, expected {cols}")
+    # Valid entries are the one-character tokens "0" and "1", so the joined
+    # tokens are exactly rows * cols such characters.
+    joined = "".join(map("".join, entries))
+    if len(joined) != rows * cols or joined.replace("0", "").replace("1", ""):
+        r, tok = next(
+            (r, tok) for r, row in enumerate(entries, 1) for tok in row if tok not in ("0", "1")
+        )
+        raise ValueError(f"bad matrix entry {tok!r} in row {r}")
+    M = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
+    return M.reshape(rows, cols)
 
 
 def read_matrix(path) -> np.ndarray:

@@ -58,17 +58,29 @@ TORUS_TAU = [[1, 2, 3, 4], [5, 6, 7, 8]]
         pytest.param("from-graph", {"vertices": 1, "edges": [[1, 1, 1]], "rotation": [[1, 2]]}, id="graph-edge-triple"),
         pytest.param("from-graph", {"vertices": 1, "edges": [[1, 1]], "rotation": [1, 2]}, id="graph-rotation-flat"),
         pytest.param("from-graph", {"vertices": 1, "edges": [[1, 1]], "rotation": [["1", 2]]}, id="graph-rotation-str"),
+        pytest.param("decompose", "+2 0_2\n1 0\n0 1\n", id="matrix-header-sign-underscore"),
+        pytest.param("decompose", "\u0661 1\n1\n", id="matrix-header-arabic-indic"),
+        pytest.param("decompose", "2 2\n1 0\n0 \u0661\n", id="matrix-entry-arabic-indic"),
+        pytest.param("build", "+6 6\n" + "1 0 0 0 0 0\n" * 6, id="basis-change-header-sign"),
+        pytest.param("build", "6 \u0666\n" + "1 0 0 0 0 0\n" * 6, id="basis-change-header-arabic-indic"),
     ],
 )
 def test_info_non_integer_labels_exit_2(tmp_path, capsys, command, data):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    out = ["--out", str(tmp_path / "out.json")] if command == "from-graph" else []
-    assert main([command, str(path), *out]) == 2
+    # JSON inputs (dicts) and matrix text (strings) alike exit 2 with one line.
+    path = tmp_path / "bad.txt"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    out = str(tmp_path / "out")
+    argv = {
+        "info": ["info", str(path)],
+        "from-graph": ["from-graph", str(path), "--out", out],
+        "decompose": ["decompose", str(path)],
+        "build": ["build", TORUS, "--basis-change", str(path), "--out", out],
+    }[command]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_consecutive_calls_are_independent(capsys):

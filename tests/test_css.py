@@ -19,7 +19,14 @@ from hypermap_codes import (
 )
 from hypermap_codes import gf2
 from hypermap_codes.css import format_stabilizer, parse_stabilizer
-from util import random_hypermap, random_invertible, torus_hypermap
+from util import (
+    random_cycle_hypermap,
+    random_hypermap,
+    random_invertible,
+    random_sparse_invertible,
+    random_special_darts,
+    torus_hypermap,
+)
 
 TORUS_HZ = np.array(
     [
@@ -174,6 +181,53 @@ def test_transform_equals_boundary_route():
         via_boundary = code_from_boundary_change(H, S, T)
         assert np.array_equal(via_gates.hx, via_boundary.hx)
         assert np.array_equal(via_gates.hz, via_boundary.hz)
+
+
+@pytest.mark.parametrize(
+    "length, hyperedges",
+    [pytest.param(3, (10, 30), id="3-cycles"), pytest.param(4, (7, 20), id="4-cycles")],
+)
+def test_transform_matches_gate_fold_and_boundary_route(length, hyperedges):
+    # The in-place loop against one apply_cnot per gate, and against the
+    # boundary-pair route, on 3- and 4-cycle hypermaps with n = 20-60.
+    rng = random.Random(30 + length)
+    for trial in range(6):
+        H = random_cycle_hypermap(rng, rng.randint(*hyperedges), length)
+        S = random_special_darts(rng, H)
+        code = build_canonical(H, S)
+        assert 20 <= code.n <= 60
+        n = code.n
+        T = random_invertible(rng, n) if trial % 2 else random_sparse_invertible(rng, n, 3 * n)
+        circuit = cnot_circuit(T)
+        folded = code
+        for gate in circuit.gates:
+            folded = apply_cnot(folded, gate)
+        via_loop = transform(code, T)
+        via_boundary = code_from_boundary_change(H, S, T)
+        for other in (folded, via_boundary):
+            assert np.array_equal(via_loop.hx, other.hx)
+            assert np.array_equal(via_loop.hz, other.hz)
+
+
+def test_transform_validates_one_code(monkeypatch):
+    code = torus_code()
+    T = random_invertible(random.Random(23), 6)
+    assert len(cnot_circuit(T)) > 1
+    built = []
+    original = CssCode.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(CssCode, "__post_init__", counting_post_init)
+    transform(code, T)
+    assert len(built) == 1
+
+
+def test_apply_cnot_rejects_out_of_range_gate():
+    with pytest.raises(ValueError, match="exceeds 6 qubits"):
+        apply_cnot(torus_code(), CnotGate(1, 7))
 
 
 def test_transform_preserves_k():

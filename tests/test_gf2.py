@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hypermap_codes import gf2
-from util import random_invertible
+from util import random_invertible, random_sparse_invertible, reference_decompose_elementary
 
 # Stabilizer matrices of the torus worked example, in the package's face order.
 TORUS_HX = np.ones((2, 6), dtype=np.uint8)
@@ -183,6 +184,32 @@ def test_decompose_random_products():
         assert np.array_equal(gf2.multiply_factors(reversed(factors), n), gf2.invert(T))
 
 
+def test_decompose_matches_scalar_reference():
+    # Row-wise clearing must give the same factors, in the same order, as
+    # clearing one entry at a time.
+    rng = random.Random(41)
+    repaired = 0
+    for n in range(2, 41):
+        for T in (random_invertible(rng, n), random_sparse_invertible(rng, n, 2 * n)):
+            repaired += int(T[0, 0] == 0)
+            assert gf2.decompose_elementary(T) == reference_decompose_elementary(T)
+    assert repaired >= 20  # a zero at (1, 1) always takes a repair factor
+
+
+def test_decompose_singular_message_matches_reference():
+    rng = random.Random(43)
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        T = random_invertible(rng, n)
+        a, b = rng.sample(range(n), 2)
+        T[:, a] = T[:, b]  # two equal columns
+        with pytest.raises(gf2.SingularMatrixError) as expected:
+            reference_decompose_elementary(T)
+        with pytest.raises(gf2.SingularMatrixError) as got:
+            gf2.decompose_elementary(T)
+        assert str(got.value) == str(expected.value)
+
+
 def test_matrix_format_round_trip():
     text = gf2.format_matrix(TORUS_HZ)
     assert text.splitlines()[0] == "4 6"
@@ -200,3 +227,53 @@ def test_parse_matrix_rejects_bad_entries():
     with pytest.raises(ValueError):
         gf2.parse_matrix("2 2\n0 1\n")
 
+
+def test_format_matrix_matches_row_by_row_text():
+    rng = np.random.default_rng(17)
+    for rows, cols in [(0, 0), (0, 3), (2, 0), (1, 1), (3, 5), (40, 97)]:
+        M = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+        lines = [f"{rows} {cols}"] + [" ".join(map(str, row)) for row in M.tolist()]
+        text = gf2.format_matrix(M)
+        assert text == "\n".join(lines) + "\n"
+        if cols or not rows:  # a row of no entries is a blank line, which the parser skips
+            assert np.array_equal(gf2.parse_matrix(text), M)
+
+
+def test_parse_matrix_ignores_blank_lines_and_spacing():
+    M = gf2.parse_matrix("\n 2  3 \n\n1 0   1\n\t0 0 1 \n\n")
+    assert M.dtype == np.uint8
+    assert M.tolist() == [[1, 0, 1], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty matrix text"),
+        ("1 2 3\n0 1\n", "bad matrix header '1 2 3'"),
+        ("+1 0_2\n0 1\n", "bad matrix header '\\+1 0_2'"),
+        ("\u0661 2\n0 1\n", "bad matrix header '\u0661 2'"),
+        ("1 \u00b2\n0 1\n", "bad matrix header '1 \u00b2'"),
+        ("x 2\n0 1\n", "bad matrix header 'x 2'"),
+        ("-1 2\n", "matrix dimensions must be nonnegative"),
+        ("2 2\n0 1\n", "expected 2 matrix rows, found 1"),
+        ("1 2\n0 1 1\n", "row 1 has 3 entries, expected 2"),
+        ("2 2\n0 1\n1 01\n", "bad matrix entry '01' in row 2"),
+        ("2 2\n0 1\n1 \u0661\n", "bad matrix entry '\u0661' in row 2"),
+        ("1 2\n0 2\n", "bad matrix entry '2' in row 1"),
+    ],
+)
+def test_parse_matrix_error_messages(text, message):
+    with pytest.raises(ValueError, match=message):
+        gf2.parse_matrix(text)
+
+
+def test_parse_matrix_checks_counts_before_allocating():
+    # The header claims 10^8 columns over one short row.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="row 1 has 2 entries, expected 100000000"):
+            gf2.parse_matrix("1 100000000\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

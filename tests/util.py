@@ -48,6 +48,25 @@ def random_hypermap(rng, min_darts=2, max_darts=20):
             continue
 
 
+def random_cycle_hypermap(rng, hyperedges, length):
+    """A random connected hypermap whose sigma and tau are both ``length``-cycles.
+
+    It has ``hyperedges * length`` darts, so its canonical code has
+    ``hyperedges * (length - 1)`` qubits.
+    """
+    darts = hyperedges * length
+    while True:
+        cycles = []
+        for _ in range(2):
+            labels = list(range(1, darts + 1))
+            rng.shuffle(labels)
+            cycles.append([labels[k : k + length] for k in range(0, darts, length)])
+        try:
+            return Hypermap.from_cycles(darts, *cycles)
+        except NotConnectedError:
+            continue
+
+
 def random_special_darts(rng, H):
     """A random valid special-dart choice: any one dart of every hyperedge."""
     return SpecialDartSet(tuple(rng.choice(orbit) for orbit in H.hyperedges().orbits))
@@ -70,6 +89,51 @@ def random_invertible(rng, n):
         M = np.array([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)], dtype=np.uint8)
         if gf2.rank(M) == n:
             return M
+
+
+def random_sparse_invertible(rng, n, entries):
+    """Identity plus ``entries`` ones above the diagonal, columns then shuffled.
+
+    The shuffle leaves zeros on the diagonal, so the decomposition has to
+    repair them.
+    """
+    M = gf2.identity(n)
+    for _ in range(entries):
+        i = rng.randrange(n - 1)
+        M[i, rng.randrange(i + 1, n)] = 1
+    order = list(range(n))
+    rng.shuffle(order)
+    return M[:, order]
+
+
+def reference_decompose_elementary(T):
+    """Elementary-factor decomposition one matrix entry at a time.
+
+    The scalar reference for :func:`gf2.decompose_elementary`: rows in
+    ascending order, a zero diagonal entry repaired with the smallest column
+    to its right holding a 1, then one column addition per remaining 1 in
+    the row, in ascending column order.
+    """
+    M = gf2.as_matrix(T).copy()
+    n = M.shape[0]
+    if M.shape[1] != n:
+        raise ValueError(f"matrix is {M.shape[0]}x{M.shape[1]}, not square")
+
+    applied = []
+    for i in range(n):
+        if M[i, i] == 0:
+            hits = np.flatnonzero(M[i, i + 1 :])
+            if hits.size == 0:
+                raise gf2.SingularMatrixError(f"matrix is singular at row {i + 1}")
+            j = i + 1 + int(hits[0])
+            M[:, i] ^= M[:, j]
+            applied.append(gf2.ElementaryFactor(j + 1, i + 1, n))
+        for j in range(n):
+            if j != i and M[i, j]:
+                M[:, j] ^= M[:, i]
+                applied.append(gf2.ElementaryFactor(i + 1, j + 1, n))
+    assert np.array_equal(M, gf2.identity(n))
+    return applied[::-1]
 
 
 def random_css_code(rng, min_darts=2, max_darts=20, max_qubits=None, require_logical=False):
