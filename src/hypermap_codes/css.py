@@ -192,10 +192,14 @@ def transform(code: CssCode, T) -> CssCode:
 
 
 def _same_row_space(A, B) -> bool:
+    """Every row of ``B`` reduces to 0 against an echelon basis of ``A``, and the ranks agree."""
     if np.array_equal(A, B):
         return True
-    ra, rb = gf2.rank(A), gf2.rank(B)
-    return ra == rb and gf2.rank(np.vstack([A, B])) == ra
+    basis, mask = gf2._forward(gf2._pack_rows(A))
+    rows = gf2._pack_rows(B)
+    if any(gf2._reduce(v, basis, mask) for v in rows):
+        return False
+    return len(gf2._forward(rows)[0]) == len(basis)
 
 
 def stabilizer_equal(a: CssCode, b: CssCode) -> bool:

@@ -44,18 +44,13 @@ class NoLogicalOperatorError(ValueError):
     """The code has no logical operators (k = 0), so no distance."""
 
 
-def _pack(bits) -> int:
-    """Bit ``j`` of the result is entry ``j`` of the 0/1 vector."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 def _reduce(v: int, reducer) -> int:
     """``v`` modulo the excluded row space; 0 exactly when ``v`` lies in it.
 
-    ``reducer`` lists ``(row, pivot)`` of the reduced echelon form, so the
+    ``reducer`` lists ``(pivot, row)`` of the reduced echelon form, so the
     map is linear: reducing a sum is the sum of the reductions.
     """
-    for row, p in reducer:
+    for p, row in reducer:
         if (v >> p) & 1:
             v ^= row
     return v
@@ -71,10 +66,8 @@ def _packed_sector(stab, excl):
     """
     n = stab.shape[1]
     R, pivots = gf2.row_echelon(stab)
-    R = R[: len(pivots)]
-    cols = [_pack(R[:, j]) for j in range(n)]
-    E, epivots = gf2.row_echelon(excl)
-    reducer = [(_pack(E[r]), p) for r, p in enumerate(epivots)]
+    cols = gf2._pack_rows(R[: len(pivots)].T)
+    reducer = list(gf2._reduced_rows(excl).items())
     return cols, reducer, n - len(pivots)
 
 
@@ -112,7 +105,7 @@ def _kernel_search(basis, reducer) -> int:
     once and the images are combined alongside the vectors: a combination
     lies outside the excluded row space exactly when its image is nonzero.
     """
-    vectors = [_pack(b) for b in basis]
+    vectors = gf2._pack_rows(basis)
     images = [_reduce(v, reducer) for v in vectors]
     low = min(len(vectors), TABLE_BITS)
     table, table_images = _span(vectors[:low]), _span(images[:low])

@@ -1,9 +1,12 @@
-"""Dense GF(2) linear algebra on numpy uint8 arrays.
+"""GF(2) linear algebra on numpy uint8 matrices, eliminating on packed rows.
 
 Matrices are plain ``numpy.ndarray`` objects with dtype uint8 and entries in
-{0, 1}; all arithmetic is mod 2.  Array axes are 0-based as usual, but column
-indices carried by :class:`ElementaryFactor` are 1-based, matching the dart
-and qubit labels used in every file format and CLI surface.
+{0, 1}; all arithmetic is mod 2.  Elimination (``row_echelon``, ``rank``,
+``invert``, row-space membership) packs each row into a Python int once per
+matrix and works by int XOR; products go through BLAS (:func:`mul`).
+Array axes are 0-based as usual, but column indices carried by
+:class:`ElementaryFactor` are 1-based, matching the dart and qubit labels
+used in every file format and CLI surface.
 
 The module also owns the plain-text matrix format used by all import/export:
 a first line ``"rows cols"`` followed by one line of space-separated 0/1
@@ -58,47 +61,108 @@ def mul(A, B) -> np.ndarray:
     return P.astype(np.uint8)
 
 
-def row_echelon(M, pivot_limit: int | None = None) -> tuple[np.ndarray, list[int]]:
+# --- elimination on packed rows ------------------------------------------------
+#
+# Elimination holds each row as a Python int whose bit ``j`` is column ``j``
+# (``np.packbits(..., bitorder="little")``), so a row operation is one int
+# XOR.  An echelon basis is a dict from pivot column to row, each row's
+# lowest set bit being its pivot, plus the mask of all pivot bits.
+
+
+def _pack_rows(M) -> list[int]:
+    """Row ``r`` of the 0/1 matrix ``M`` as an int whose bit ``j`` is ``M[r, j]``."""
+    rows, cols = M.shape
+    width = (cols + 7) // 8
+    if width == 0:
+        return [0] * rows
+    data = np.packbits(M, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
+def _unpack_rows(rows, cols: int) -> np.ndarray:
+    """Inverse of :func:`_pack_rows`: a ``len(rows) x cols`` uint8 matrix."""
+    width = (cols + 7) // 8
+    data = b"".join(v.to_bytes(width, "little") for v in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
+
+def _reduce(v: int, basis: dict[int, int], mask: int) -> int:
+    """Clear the pivot bits of ``v``, lowest first; 0 exactly when ``v`` is in the span.
+
+    XORing the row of pivot ``p`` leaves the bits below ``p`` alone, so the
+    lowest pivot bit left in ``v`` rises with every step.  The lowest set
+    bit of ``x`` is at ``(x ^ (x - 1)).bit_length() - 1``.
+    """
+    hit = v & mask
+    while hit:
+        v ^= basis[(hit ^ (hit - 1)).bit_length() - 1]
+        hit = v & mask
+    return v
+
+
+def _forward(rows) -> tuple[dict[int, int], int]:
+    """Echelon basis ``({pivot: row}, pivot mask)`` of the span of packed ``rows``.
+
+    Each row is reduced against the basis so far; what is left, if nonzero,
+    has no pivot bit and joins the basis with its lowest set bit as pivot.
+    """
+    basis: dict[int, int] = {}
+    mask = 0
+    for v in rows:
+        v = _reduce(v, basis, mask)
+        if v:
+            p = (v ^ (v - 1)).bit_length() - 1
+            basis[p] = v
+            mask |= 1 << p
+    return basis, mask
+
+
+def _back_substitute(basis: dict[int, int], mask: int) -> dict[int, int]:
+    """Reduced form of an echelon basis: each row keeps its own pivot bit only.
+
+    Pivots are handled in descending order, so the row of every other pivot
+    bit of a row is already reduced: XORing it clears that bit and sets no
+    other pivot bit.
+    """
+    reduced: dict[int, int] = {}
+    for p in sorted(basis, reverse=True):
+        v = basis[p]
+        hit = (v & mask) ^ (1 << p)
+        while hit:
+            q = hit.bit_length() - 1
+            v ^= reduced[q]
+            hit ^= 1 << q
+        reduced[p] = v
+    return reduced
+
+
+def _reduced_rows(M) -> dict[int, int]:
+    """``{pivot: row}`` of the reduced row-echelon form, ascending by pivot."""
+    reduced = _back_substitute(*_forward(_pack_rows(M)))
+    return dict(sorted(reduced.items()))
+
+
+def row_echelon(M) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(2).
 
-    Args:
-        M: binary matrix.
-        pivot_limit: restrict pivot search to the first ``pivot_limit``
-            columns (row operations still act on the full width).  Used for
-            augmented-matrix inversion.
-
     Returns:
-        ``(R, pivot_cols)`` where ``R`` is the reduced form and
-        ``pivot_cols`` lists the pivot column of each nonzero row.
+        ``(R, pivot_cols)`` where ``R`` is the reduced form, of the shape of
+        ``M`` with its zero rows last, and ``pivot_cols`` lists the pivot
+        column of each nonzero row, ascending.
     """
-    R = as_matrix(M).copy()
-    rows, cols = R.shape
-    limit = cols if pivot_limit is None else pivot_limit
-
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(limit):
-        if r == rows:
-            break
-        hits = np.flatnonzero(R[r:, c])
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        others = np.flatnonzero(R[:, c])
-        others = others[others != r]
-        if others.size:
-            R[others] ^= R[r]
-        pivot_cols.append(c)
-        r += 1
-    return R, pivot_cols
+    M = as_matrix(M)
+    rows, cols = M.shape
+    reduced = _reduced_rows(M)
+    R = np.zeros((rows, cols), dtype=np.uint8)
+    R[: len(reduced)] = _unpack_rows(reduced.values(), cols)
+    return R, list(reduced)
 
 
 def rank(M) -> int:
-    """GF(2) row rank."""
-    _, pivots = row_echelon(M)
-    return len(pivots)
+    """GF(2) row rank (forward elimination only)."""
+    basis, _ = _forward(_pack_rows(as_matrix(M)))
+    return len(basis)
 
 
 def kernel_basis(M) -> np.ndarray:
@@ -110,13 +174,10 @@ def kernel_basis(M) -> np.ndarray:
     M = as_matrix(M)
     cols = M.shape[1]
     R, pivots = row_echelon(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for r, p in enumerate(pivots):
-            basis[k, p] = R[r, f]
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = R[: len(pivots)][:, free].T
     return basis
 
 
@@ -128,20 +189,28 @@ def row_space_contains(M, v) -> bool:
         raise ValueError(
             f"vector length {v.shape[0]} does not match {M.shape[1]} columns"
         )
-    return rank(M) == rank(np.vstack([M, v[np.newaxis, :]]))
+    basis, mask = _forward(_pack_rows(M))
+    return _reduce(_pack_rows(v[np.newaxis, :])[0], basis, mask) == 0
 
 
 def invert(T) -> np.ndarray:
-    """Inverse over GF(2); raises :class:`SingularMatrixError` if rank-deficient."""
+    """Inverse over GF(2); raises :class:`SingularMatrixError` if rank-deficient.
+
+    Reduces ``[T | I]`` with row ``i`` packed as ``T[i] | 1 << (n + i)``.
+    ``T`` is invertible exactly when the pivots are ``0..n-1``; the reduced
+    rows then read ``[I | T^-1]``.
+    """
     T = as_matrix(T)
     n = T.shape[0]
     if T.shape[1] != n:
         raise ValueError(f"matrix is {T.shape[0]}x{T.shape[1]}, not square")
-    aug = np.hstack([T, identity(n)])
-    R, pivots = row_echelon(aug, pivot_limit=n)
-    if len(pivots) != n:
-        raise SingularMatrixError(f"matrix has rank {len(pivots)} < {n}")
-    return R[:, n:].copy()
+    rows = [row | 1 << (n + i) for i, row in enumerate(_pack_rows(T))]
+    basis, mask = _forward(rows)
+    r = (mask & ((1 << n) - 1)).bit_count()
+    if r != n:
+        raise SingularMatrixError(f"matrix has rank {r} < {n}")
+    reduced = _back_substitute(basis, mask)
+    return _unpack_rows([reduced[i] >> n for i in range(n)], n)
 
 
 @dataclass(frozen=True)

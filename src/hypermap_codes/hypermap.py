@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from ._jsonfmt import compact_json
@@ -224,6 +225,18 @@ class Hypermap:
 
     @classmethod
     def from_cycles(cls, n: int, sigma_cycles, tau_cycles) -> "Hypermap":
+        """Build from cycles of 1-based labels; fixed points may be omitted.
+
+        Dart ``n`` must be named in a cycle unless ``n == 1``: a dart fixed by
+        both permutations is a component of its own.  This is checked before
+        anything of size ``n`` is allocated, so the cycles must be lists (or
+        other collections), not one-shot iterators.
+        """
+        named = max(chain.from_iterable(chain(sigma_cycles, tau_cycles)), default=0)
+        if n > max(1, named):
+            raise NotConnectedError(
+                f"dart {n} is fixed by sigma and tau, so it is a component of its own"
+            )
         return cls(
             Permutation.from_cycles(sigma_cycles, n),
             Permutation.from_cycles(tau_cycles, n),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,21 @@ def test_info_disconnected_exits_2(tmp_path, capsys):
     path.write_text('{"darts": 2, "sigma": [], "tau": []}')
     assert main(["info", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_info_huge_dart_count_exits_2_without_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"darts": 10**9, "sigma": [[1, 2]], "tau": []}))
+    tracemalloc.start()
+    try:
+        assert main(["info", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dart 1000000000 is fixed by sigma and tau, so it is a component of its own\n"
 
 
 def test_info_malformed_json_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -70,6 +71,31 @@ def test_counts_single_dart():
 def test_disconnected_pair_rejected():
     with pytest.raises(NotConnectedError):
         Hypermap(Permutation.identity(2), Permutation.identity(2))
+
+
+@pytest.mark.parametrize(
+    "n, sigma, tau",
+    [(2, [], []), (3, [[1, 2]], [[2, 1]]), (10**9, [[1, 2]], []), (10**9, [], [])],
+)
+def test_from_cycles_rejects_unnamed_last_dart_before_allocating(n, sigma, tau):
+    # Dart n is fixed by both permutations, so it is a component of its own.
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotConnectedError, match=f"^dart {n} is fixed by sigma and tau"):
+            Hypermap.from_cycles(n, sigma, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_from_cycles_size_guard_keeps_valid_and_out_of_range_inputs():
+    assert Hypermap.from_cycles(1, [], []).n_darts == 1
+    assert Hypermap.from_cycles(3, [[1, 2]], [[3, 2]]).n_darts == 3
+    with pytest.raises(ValueError, match="cycle entry 4 out of range 1..3"):
+        Hypermap.from_cycles(3, [[1, 4]], [[2, 3]])
+    with pytest.raises(NotConnectedError, match="a hypermap needs at least one dart"):
+        Hypermap.from_cycles(0, [], [])
 
 
 def test_genus_torus():

@@ -136,6 +136,61 @@ def reference_decompose_elementary(T):
     return applied[::-1]
 
 
+def reference_row_echelon(M):
+    """Reduced row-echelon form by a numpy pass per column.
+
+    The column-at-a-time reference for :func:`gf2.row_echelon`: the first
+    row at or below the current one holding a 1 in the column becomes the
+    pivot row, then is XORed into every other row holding a 1 there.
+    """
+    R = gf2.as_matrix(M).copy()
+    rows, cols = R.shape
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.flatnonzero(R[r:, c])
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        others = np.flatnonzero(R[:, c])
+        others = others[others != r]
+        if others.size:
+            R[others] ^= R[r]
+        pivot_cols.append(c)
+        r += 1
+    return R, pivot_cols
+
+
+def reference_kernel_basis(M):
+    """Right kernel basis read off :func:`reference_row_echelon` one entry at a time."""
+    M = gf2.as_matrix(M)
+    cols = M.shape[1]
+    R, pivots = reference_row_echelon(M)
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    basis = np.zeros((len(free), cols), dtype=np.uint8)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for r, p in enumerate(pivots):
+            basis[k, p] = R[r, f]
+    return basis
+
+
+def reference_invert(T):
+    """Inverse by :func:`reference_row_echelon` of ``[T | I]``, with the same error text."""
+    T = gf2.as_matrix(T)
+    n = T.shape[0]
+    r = len(reference_row_echelon(T)[1])
+    if r != n:
+        raise gf2.SingularMatrixError(f"matrix has rank {r} < {n}")
+    R, _ = reference_row_echelon(np.hstack([T, gf2.identity(n)]))
+    return R[:, n:]
+
+
 def random_css_code(rng, min_darts=2, max_darts=20, max_qubits=None, require_logical=False):
     """Canonical code of a random hypermap, optionally filtered on n and k."""
     while True:
