@@ -18,10 +18,11 @@ from .hypermap import Hypermap, SpecialDartSet, choose_special_darts, load_hyper
 
 
 def _parse_dart_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"bad dart list {text!r}, expected comma-separated labels") from None
+    """Comma-separated dart labels; each must be an ASCII digit string once stripped."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens if tok):
+        raise ValueError(f"bad dart list {text!r}, expected comma-separated labels")
+    return [int(tok) for tok in tokens if tok]
 
 
 def _load_hypermap_and_special(path, special_flag) -> tuple[Hypermap, SpecialDartSet]:
@@ -127,8 +128,7 @@ def _print_row_space_diff(a: css.CssCode, b: css.CssCode) -> None:
 def cmd_decompose(args) -> int:
     T = gf2.read_matrix(args.matrix)
     circuit = css.cnot_circuit(T)
-    for gate in circuit.gates:
-        print(f"CNOT {gate.control} {gate.target}")
+    sys.stdout.write("".join(f"CNOT {c} {t}\n" for c, t in circuit.pairs.tolist()))
     print(f"gates={len(circuit)} bound={circuit.n * circuit.n}")
     return 0
 

@@ -6,7 +6,11 @@ are kept, since the row spaces are what define the code; :func:`reduced`
 drops them for display.  The canonical code of a hypermap places one qubit
 on each nonspecial dart; any invertible basis change of the underlying
 quotient space is realized on the code by a CNOT circuit obtained from the
-elementary-factor decomposition of the change matrix.
+elementary-factor decomposition of the change matrix.  A
+:class:`CnotCircuit` holds its gates as one ``(m, 2)`` array of 1-based
+``(control, target)`` labels, from the decomposition to the gate loop of
+:func:`transform`; :attr:`CnotCircuit.gates` builds :class:`CnotGate`
+objects on demand.
 """
 
 from __future__ import annotations
@@ -70,19 +74,37 @@ class CnotGate:
 
 @dataclass(frozen=True)
 class CnotCircuit:
-    gates: tuple[CnotGate, ...]
+    """A CNOT circuit on ``n`` qubits, held as one ``(m, 2)`` integer array.
+
+    Row ``l`` of ``pairs`` is the 1-based ``(control, target)`` of gate
+    ``l``.  All gates are checked at once, with the messages
+    :class:`CnotGate` and the ``n`` and ``n^2`` bounds give for the first
+    bad gate; :attr:`gates` builds the :class:`CnotGate` objects on demand.
+    """
+
+    pairs: np.ndarray
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if g.control > self.n or g.target > self.n:
-                raise ValueError(f"gate {g} exceeds {self.n} qubits")
-        if len(self.gates) > self.n * self.n:
-            raise ValueError(f"{len(self.gates)} gates exceed the n^2 bound")
+        pairs = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
+        control, target = pairs[:, 0], pairs[:, 1]
+        bad = np.flatnonzero((control < 1) | (target < 1) | (control == target))
+        if bad.size:
+            CnotGate(*pairs[bad[0]].tolist())  # raises the gate's own error
+        bad = np.flatnonzero((control > self.n) | (target > self.n))
+        if bad.size:
+            raise ValueError(f"gate {CnotGate(*pairs[bad[0]].tolist())} exceeds {self.n} qubits")
+        if len(pairs) > self.n * self.n:
+            raise ValueError(f"{len(pairs)} gates exceed the n^2 bound")
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
+
+    @property
+    def gates(self) -> tuple[CnotGate, ...]:
+        return tuple(CnotGate(c, t) for c, t in self.pairs.tolist())
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.pairs)
 
 
 def build_canonical(H: Hypermap, S: SpecialDartSet | None = None) -> CssCode:
@@ -128,11 +150,11 @@ def cnot_circuit(T) -> CnotCircuit:
     """CNOT realization of a basis change matrix.
 
     Gate ``l`` is ``(control i_l, target j_l)`` where the elementary factors
-    of ``T`` multiply out to ``T`` in gate order.
+    of ``T`` multiply out to ``T`` in gate order.  The gates stay the index
+    array of the elimination; no per-gate object is built.
     """
     T = gf2.as_matrix(T)
-    factors = gf2.decompose_elementary(T)
-    return CnotCircuit(tuple(CnotGate(f.i, f.j) for f in factors), T.shape[0])
+    return CnotCircuit(gf2._elementary_pairs(T), T.shape[0])
 
 
 def _bit_columns(M: np.ndarray) -> list[int]:
@@ -150,19 +172,20 @@ def _from_bit_columns(columns: list[int], rows: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=rows).T
 
 
-def _apply_gates(code: CssCode, gates) -> CssCode:
-    """Apply ``gates`` in order to one working copy of the code, then validate once.
+def _apply_gates(code: CssCode, pairs) -> CssCode:
+    """Apply 1-based ``(control, target)`` pairs in order to one working copy, then validate once.
 
     Every column is held as a Python int, so a gate is one XOR of two ints in
-    each sector.  The gates must already be checked against ``code.n``.
+    each sector; a leading unused entry lets the 1-based labels index the
+    column lists directly.  The pairs must already be checked against
+    ``code.n``.
     """
-    xcols, zcols = _bit_columns(code.hx), _bit_columns(code.hz)
-    for gate in gates:
-        c, t = gate.control - 1, gate.target - 1
+    xcols, zcols = [0, *_bit_columns(code.hx)], [0, *_bit_columns(code.hz)]
+    for c, t in pairs:
         xcols[t] ^= xcols[c]
         zcols[c] ^= zcols[t]
-    hx = _from_bit_columns(xcols, code.hx.shape[0])
-    hz = _from_bit_columns(zcols, code.hz.shape[0])
+    hx = _from_bit_columns(xcols[1:], code.hx.shape[0])
+    hz = _from_bit_columns(zcols[1:], code.hz.shape[0])
     return CssCode(hx, hz)
 
 
@@ -173,22 +196,23 @@ def apply_cnot(code: CssCode, gate: CnotGate) -> CssCode:
     """
     if gate.control > code.n or gate.target > code.n:
         raise ValueError(f"gate {gate} exceeds {code.n} qubits")
-    return _apply_gates(code, [gate])
+    return _apply_gates(code, [(gate.control, gate.target)])
 
 
 def transform(code: CssCode, T) -> CssCode:
     """Apply the CNOT circuit of ``T`` to the code.
 
-    The circuit is built and checked as by :func:`cnot_circuit`; its gates
-    then act in order on one working copy of ``hx`` and ``hz``, and the
-    result is validated once, as a single :class:`CssCode`.  It equals
-    rebuilding the code from the basis-changed boundary pair; both routes
-    are exercised by the tests.
+    The circuit is built and checked as by :func:`cnot_circuit`; the rows of
+    its index array then act in order on one working copy of ``hx`` and
+    ``hz``, and the result is validated once, as a single :class:`CssCode`.
+    No :class:`CnotGate` or :class:`~hypermap_codes.gf2.ElementaryFactor`
+    is built.  It equals rebuilding the code from the basis-changed boundary
+    pair; both routes are exercised by the tests.
     """
     circuit = cnot_circuit(T)
     if circuit.n != code.n:
         raise ValueError(f"basis change acts on {circuit.n} qubits, code has {code.n}")
-    return _apply_gates(code, circuit.gates)
+    return _apply_gates(code, circuit.pairs.tolist())
 
 
 def _same_row_space(A, B) -> bool:

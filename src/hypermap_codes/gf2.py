@@ -4,9 +4,12 @@ Matrices are plain ``numpy.ndarray`` objects with dtype uint8 and entries in
 {0, 1}; all arithmetic is mod 2.  Elimination (``row_echelon``, ``rank``,
 ``invert``, row-space membership) packs each row into a Python int once per
 matrix and works by int XOR; products go through BLAS (:func:`mul`).
-Array axes are 0-based as usual, but column indices carried by
-:class:`ElementaryFactor` are 1-based, matching the dart and qubit labels
-used in every file format and CLI surface.
+Array axes are 0-based as usual, but the column indices of an
+elementary-factor decomposition are 1-based, matching the dart and qubit
+labels used in every file format and CLI surface.  The decomposition is
+computed as one ``(m, 2)`` index array (:func:`_elementary_pairs`), which
+the CNOT path uses as it is; :func:`decompose_elementary` wraps its rows
+in :class:`ElementaryFactor` objects.
 
 The module also owns the plain-text matrix format used by all import/export:
 a first line ``"rows cols"`` followed by one line of space-separated 0/1
@@ -238,14 +241,11 @@ def elementary_matrix(f: ElementaryFactor) -> np.ndarray:
     return M
 
 
-def decompose_elementary(T) -> list[ElementaryFactor]:
-    """Factor an invertible matrix into elementary column-addition factors.
+def _elementary_pairs(T) -> np.ndarray:
+    """Elementary factors of an invertible ``T`` as an ``(m, 2)`` array of 1-based ``(i, j)``.
 
-    Returns factors ``f_1 .. f_m`` with ``f_1 * ... * f_m = T`` and the
-    reversed product equal to ``T^-1``; ``m <= n^2``.  Deterministic: rows
-    are processed in ascending order, and a zero diagonal entry is repaired
-    with the smallest column to its right holding a 1 (such a column exists
-    exactly when the matrix is invertible).
+    Row ``l`` is factor ``f_l`` of :func:`decompose_elementary`, in the same
+    order; an identity matrix gives a ``(0, 2)`` array.
     """
     M = as_matrix(T)
     n = M.shape[0]
@@ -253,8 +253,11 @@ def decompose_elementary(T) -> list[ElementaryFactor]:
         raise ValueError(f"matrix is {M.shape[0]}x{M.shape[1]}, not square")
 
     # Column c of M is row c of C, so a column addition is one contiguous XOR.
+    # Factor k adds column sources[k] into column targets[k] (0-based); each
+    # step appends one source and the array of its targets.
     C = np.array(M.T, order="C")
-    applied: list[ElementaryFactor] = []
+    sources: list[int] = []
+    targets: list[np.ndarray] = []
     for i in range(n):
         if C[i, i] == 0:
             hits = np.flatnonzero(C[i + 1 :, i])
@@ -262,7 +265,8 @@ def decompose_elementary(T) -> list[ElementaryFactor]:
                 raise SingularMatrixError(f"matrix is singular at row {i + 1}")
             j = i + 1 + int(hits[0])
             C[i] ^= C[j]
-            applied.append(ElementaryFactor(j + 1, i + 1, n))
+            sources.append(j)
+            targets.append(np.array([i]))
         # Clearing row i adds column i into every other column with a 1 there.
         # These factors share their source, so they commute and stay in
         # ascending column order.
@@ -270,11 +274,31 @@ def decompose_elementary(T) -> list[ElementaryFactor]:
         hits = hits[hits != i]
         if hits.size:
             C[hits] ^= C[i]
-            applied.extend(ElementaryFactor(i + 1, j + 1, n) for j in hits.tolist())
+            sources.append(i)
+            targets.append(hits)
     # The applied product reduces T to the identity, so it equals T^-1; each
     # factor is its own inverse, hence the reversed list multiplies to T.
     assert np.array_equal(C, identity(n))
-    return applied[::-1]
+    if not targets:
+        return np.zeros((0, 2), dtype=np.intp)
+    sizes = [t.size for t in targets]
+    pairs = np.column_stack((np.repeat(sources, sizes), np.concatenate(targets)))
+    return pairs[::-1] + 1
+
+
+def decompose_elementary(T) -> list[ElementaryFactor]:
+    """Factor an invertible matrix into elementary column-addition factors.
+
+    Returns factors ``f_1 .. f_m`` with ``f_1 * ... * f_m = T`` and the
+    reversed product equal to ``T^-1``; ``m <= n^2``.  Deterministic: rows
+    are processed in ascending order, and a zero diagonal entry is repaired
+    with the smallest column to its right holding a 1 (such a column exists
+    exactly when the matrix is invertible).  This is a list view of
+    :func:`_elementary_pairs`, which the CNOT path uses directly.
+    """
+    pairs = _elementary_pairs(T)
+    n = np.shape(T)[0]
+    return [ElementaryFactor(i, j, n) for i, j in pairs.tolist()]
 
 
 def multiply_factors(factors, n: int) -> np.ndarray:

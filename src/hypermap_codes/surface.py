@@ -258,7 +258,8 @@ def verify_equivalence(H: Hypermap, S: SpecialDartSet | None = None) -> Equivale
     """Build the canonical code and its surface code and compare stabilizers.
 
     Both come from one boundary pair: the canonical code is ``(p1, p2)`` and
-    the surface graph is read off the same matrices.
+    the surface graph is read off the same matrices.  When the two codes
+    have identical matrices, as they usually do, they are ranked once.
     """
     if S is None:
         S = choose_special_darts(H)
@@ -266,13 +267,15 @@ def verify_equivalence(H: Hypermap, S: SpecialDartSet | None = None) -> Equivale
     hmap_code = CssCode(bp.p1, bp.p2)
     graph = _surface_from_pair(H, bp)
     surf_code = surface_code(graph)
+    hmap_params = params(hmap_code)
+    same = np.array_equal(hmap_code.hx, surf_code.hx) and np.array_equal(hmap_code.hz, surf_code.hz)
     return EquivalenceReport(
         equal=stabilizer_equal(hmap_code, surf_code),
         graph=graph,
         hypermap_code=hmap_code,
         surface_code=surf_code,
-        hypermap_params=params(hmap_code),
-        surface_params=params(surf_code),
+        hypermap_params=hmap_params,
+        surface_params=hmap_params if same else params(surf_code),
     )
 
 

@@ -79,10 +79,15 @@ TORUS_TAU = [[1, 2, 3, 4], [5, 6, 7, 8]]
         pytest.param("decompose", "2 2\n1 0\n0 \u0661\n", id="matrix-entry-arabic-indic"),
         pytest.param("build", "+6 6\n" + "1 0 0 0 0 0\n" * 6, id="basis-change-header-sign"),
         pytest.param("build", "6 \u0666\n" + "1 0 0 0 0 0\n" * 6, id="basis-change-header-arabic-indic"),
+        pytest.param("special", "\u0661", id="special-arabic-indic"),
+        pytest.param("special", "1_2", id="special-underscore"),
+        pytest.param("special", "+7", id="special-plus-sign"),
+        pytest.param("special", "3,7_0", id="special-underscore-in-second"),
     ],
 )
 def test_info_non_integer_labels_exit_2(tmp_path, capsys, command, data):
-    # JSON inputs (dicts) and matrix text (strings) alike exit 2 with one line.
+    # JSON inputs (dicts), matrix text and --special labels (strings) alike
+    # exit 2 with one line.
     path = tmp_path / "bad.txt"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
     out = str(tmp_path / "out")
@@ -91,6 +96,7 @@ def test_info_non_integer_labels_exit_2(tmp_path, capsys, command, data):
         "from-graph": ["from-graph", str(path), "--out", out],
         "decompose": ["decompose", str(path)],
         "build": ["build", TORUS, "--basis-change", str(path), "--out", out],
+        "special": ["build", TORUS, "--special", data, "--out", out],
     }[command]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hypermap_codes import (
+    CnotCircuit,
     CnotGate,
     CssCode,
     Hypermap,
@@ -118,6 +119,30 @@ def test_cnot_circuit_bound():
         assert len(circuit) <= 36
 
 
+@pytest.mark.parametrize(
+    "pairs, n, message",
+    [
+        pytest.param([(1, 2), (0, 2)], 3, "qubit labels are 1-based", id="label-0"),
+        pytest.param([(1, 2), (2, 4), (5, 1)], 3, "gate CnotGate(control=2, target=4) exceeds 3 qubits", id="label-above-n"),
+        pytest.param([(3, 3), (0, 1)], 3, "control and target must differ", id="control-is-target"),
+        pytest.param([(1, 2)] * 5, 2, "5 gates exceed the n^2 bound", id="more-than-n-squared"),
+    ],
+)
+def test_cnot_circuit_rejects_bad_gates(pairs, n, message):
+    # Each check reports the first bad gate, with the message CnotGate or the
+    # n and n^2 bounds give for it.
+    with pytest.raises(ValueError) as err:
+        CnotCircuit(np.array(pairs), n)
+    assert str(err.value) == message
+
+
+def test_cnot_circuit_gates_built_on_demand():
+    circuit = cnot_circuit(random_invertible(random.Random(11), 8))
+    assert circuit.pairs.shape == (len(circuit), 2)
+    assert circuit.gates == tuple(CnotGate(c, t) for c, t in circuit.pairs.tolist())
+    assert cnot_circuit(gf2.identity(3)).gates == ()
+
+
 def test_apply_cnot_matches_noncanonical_display():
     code = torus_code()
     out = apply_cnot(code, CnotGate(1, 2))
@@ -223,6 +248,28 @@ def test_transform_validates_one_code(monkeypatch):
     monkeypatch.setattr(CssCode, "__post_init__", counting_post_init)
     transform(code, T)
     assert len(built) == 1
+
+
+def test_transform_builds_no_gate_or_factor_objects(monkeypatch):
+    rng = random.Random(29)
+    H = random_cycle_hypermap(rng, 13, 3)
+    code = build_canonical(H, random_special_darts(rng, H))
+    assert code.n >= 24
+    built = []
+    for cls in (CnotGate, gf2.ElementaryFactor):
+        original = cls.__post_init__
+
+        def counting_post_init(self, original=original):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+    for T in (random_invertible(rng, code.n), random_sparse_invertible(rng, code.n, 3 * code.n)):
+        transform(code, T)
+        assert built == []
+        # The counter does see the objects the list views build.
+        assert len(cnot_circuit(T).gates) + len(gf2.decompose_elementary(T)) == len(built) > 0
+        built.clear()
 
 
 def test_apply_cnot_rejects_out_of_range_gate():

@@ -196,6 +196,25 @@ def test_decompose_matches_scalar_reference():
     assert repaired >= 20  # a zero at (1, 1) always takes a repair factor
 
 
+def test_elementary_pairs_match_scalar_reference():
+    # The index-array core against the scalar reference's (i, j) list, on
+    # dense, sparse and column-permuted matrices with n = 1-64.
+    rng = random.Random(47)
+    repaired = 0
+    for n in range(1, 65):
+        order = list(range(n))
+        rng.shuffle(order)
+        dense = random_invertible(rng, n)
+        sparse = [random_sparse_invertible(rng, n, 3 * n)] if n > 1 else []
+        for T in [dense, dense[:, order], *sparse]:
+            repaired += int(T[0, 0] == 0)
+            pairs = gf2._elementary_pairs(T)
+            assert pairs.shape == (len(pairs), 2)
+            assert pairs.tolist() == [[f.i, f.j] for f in reference_decompose_elementary(T)]
+    assert repaired >= 10
+    assert gf2._elementary_pairs(gf2.identity(7)).shape == (0, 2)
+
+
 def test_decompose_singular_message_matches_reference():
     rng = random.Random(43)
     for _ in range(30):

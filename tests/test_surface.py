@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hypermap_codes import (
+    CssCode,
     Hypermap,
     NotConnectedError,
     OrbitPartition,
@@ -25,6 +26,7 @@ from hypermap_codes import (
     toric_rotation_graph,
     verify_equivalence,
 )
+from hypermap_codes import surface
 from hypermap_codes.surface import (
     rotation_graph_from_json,
     rotation_graph_to_json,
@@ -154,6 +156,34 @@ def test_verify_equivalence_builds_orbit_partitions_once(monkeypatch):
         assert verify_equivalence(H, S).equal
         counts.append(len(built))
     assert counts[0] == counts[1] <= 3
+
+
+def test_verify_equivalence_ranks_identical_codes_once(monkeypatch):
+    ranked = []
+    original = surface.params
+
+    def counting(code, *args, **kwargs):
+        ranked.append(code)
+        return original(code, *args, **kwargs)
+
+    monkeypatch.setattr(surface, "params", counting)
+    H, S = graph_to_hypermap(toric_rotation_graph(8, 8))
+    report = verify_equivalence(H, S)
+    assert report.equal and len(ranked) == 1
+    assert report.surface_params == report.hypermap_params == original(report.surface_code)
+
+    # A surface code with the same rows in another order is ranked on its own.
+    original_surface_code = surface.surface_code
+
+    def reversed_rows(G):
+        code = original_surface_code(G)
+        return CssCode(code.hx[::-1], code.hz[::-1])
+
+    monkeypatch.setattr(surface, "surface_code", reversed_rows)
+    ranked.clear()
+    report = verify_equivalence(H, S)
+    assert report.equal and len(ranked) == 2
+    assert report.surface_params == report.hypermap_params
 
 
 def test_verify_equivalence_toric_24x24():
