@@ -7,8 +7,6 @@ verify the equivalences with a brute-force distance oracle at desk scale.
 """
 
 from .chain import (
-    BoundaryPair,
-    QuotientBasis,
     apply_basis_change,
     boundary_pair,
     dart_vertex_sum,

@@ -4,15 +4,18 @@ Dart sums are uint8 vectors over all ``|W|`` darts (entry ``d-1`` for dart
 ``d``); vertex sums are vectors over the vertex orbits.  Designating one
 special dart per hyperedge imposes the relation "sum of a hyperedge's darts
 is zero", which eliminates the special darts and leaves coordinates over the
-``n = |W| - |E|`` nonspecial darts, ascending.  The two boundary matrices
-relative to that basis form a :class:`BoundaryPair`:
+``n = |W| - |E|`` nonspecial darts, ascending (:func:`nonspecial_darts`).
+The two boundary matrices relative to that basis are the canonical code, a
+:class:`CssCode` (defined here, the lowest module that builds one):
 
-* ``p1`` (``|V| x n``): column ``k`` records the pair of vertices touched by
-  nonspecial dart ``k`` once extended to a full edge by its tau-predecessor.
-* ``p2`` (``|F| x n``): row ``f`` is the characteristic vector of face
+* ``hx = p1`` (``|V| x n``): column ``k`` records the pair of vertices
+  touched by nonspecial dart ``k`` once extended to a full edge by its
+  tau-predecessor.
+* ``hz = p2`` (``|F| x n``): row ``f`` is the characteristic vector of face
   ``f``'s boundary after eliminating special darts.
 
-``p1 @ p2^t = 0`` always holds and is validated at construction.
+The chain condition ``p1 @ p2^t = 0`` is the CSS orthogonality condition,
+checked once when the code is constructed.
 
 :func:`boundary_pair` builds both matrices in one pass over per-dart index
 arrays (vertex, hyperedge, face, ``tau^-1``) read from the hypermap, whose
@@ -23,6 +26,8 @@ its hyperedge's special dart, which the elimination replaces by the other
 darts of the hyperedge.  The per-face and per-dart helpers
 (:func:`face_dart_sum`, :func:`project_nonspecial`, :func:`dart_vertex_sum`)
 compute the same rows one at a time; tests use them as the reference.
+:func:`apply_basis_change` re-expresses the pair in another basis of the
+quotient space.
 """
 
 from __future__ import annotations
@@ -100,59 +105,27 @@ def project_nonspecial(H: Hypermap, S: SpecialDartSet, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuotientBasis:
-    """Bookkeeping for the coordinate basis of the dart quotient space.
-
-    ``transform`` columns hold the special-basis coordinates of each basis
-    vector; ``kind`` is ``"special"`` exactly when it is the identity.
-    """
-
-    kind: str
-    darts: tuple[int, ...]
-    transform: np.ndarray
+class CssCode:
+    hx: np.ndarray
+    hz: np.ndarray
 
     def __post_init__(self):
-        T = gf2.as_matrix(self.transform)
-        n = len(self.darts)
-        if T.shape != (n, n):
-            raise ValueError(f"transform is {T.shape}, expected {(n, n)}")
-        T = T.copy()
-        T.setflags(write=False)
-        object.__setattr__(self, "transform", T)
-        expected = "special" if np.array_equal(T, gf2.identity(n)) else "general"
-        if self.kind != expected:
-            raise ValueError(f"basis kind {self.kind!r} but transform says {expected!r}")
-
-    @classmethod
-    def special(cls, darts: tuple[int, ...]) -> "QuotientBasis":
-        return cls("special", tuple(darts), gf2.identity(len(darts)))
-
-
-@dataclass(frozen=True)
-class BoundaryPair:
-    p1: np.ndarray
-    p2: np.ndarray
-    basis: QuotientBasis
-
-    def __post_init__(self):
-        p1 = gf2.as_matrix(self.p1).copy()
-        p2 = gf2.as_matrix(self.p2).copy()
-        if p1.shape[1] != p2.shape[1]:
+        hx = gf2.as_matrix(self.hx).copy()
+        hz = gf2.as_matrix(self.hz).copy()
+        if hx.shape[1] != hz.shape[1]:
             raise ValueError(
-                f"p1 has {p1.shape[1]} columns but p2 has {p2.shape[1]}"
+                f"hx has {hx.shape[1]} columns but hz has {hz.shape[1]}"
             )
-        if p1.shape[1] != len(self.basis.darts):
-            raise ValueError("column count does not match the basis size")
-        if np.any(gf2.mul(p1, p2.T)):
-            raise ValueError("chain condition violated: p1 @ p2^t != 0")
-        p1.setflags(write=False)
-        p2.setflags(write=False)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
+        if np.any(gf2.mul(hx, hz.T)):
+            raise ValueError("hx and hz are not orthogonal over GF(2)")
+        hx.setflags(write=False)
+        hz.setflags(write=False)
+        object.__setattr__(self, "hx", hx)
+        object.__setattr__(self, "hz", hz)
 
     @property
     def n(self) -> int:
-        return self.p1.shape[1]
+        return self.hx.shape[1]
 
 
 def _toggle_columns(rows: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,8 +137,12 @@ def _toggle_columns(rows: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return M
 
 
-def boundary_pair(H: Hypermap, S: SpecialDartSet) -> BoundaryPair:
-    """Both boundary matrices in the special basis defined by ``S``."""
+def boundary_pair(H: Hypermap, S: SpecialDartSet) -> CssCode:
+    """The canonical code: both boundary matrices in the special basis defined by ``S``.
+
+    ``hx`` is the vertex boundary ``p1`` and ``hz`` the face boundary
+    ``p2``; columns follow :func:`nonspecial_darts`.
+    """
     check_special_darts(H, S)
     vertices, edges, faces = H.vertices(), H.hyperedges(), H.faces()
     vertex = np.array(vertices.labels)
@@ -180,24 +157,19 @@ def boundary_pair(H: Hypermap, S: SpecialDartSet) -> BoundaryPair:
     darts = np.flatnonzero(~is_special)  # 0-based, ascending: the column order
     p1 = _toggle_columns(len(vertices), vertex[darts], vertex[tau_inv[darts]])
     p2 = _toggle_columns(len(faces), face[darts], face[special_of_edge[edge[darts]]])
-    return BoundaryPair(p1, p2, QuotientBasis.special(tuple((darts + 1).tolist())))
+    return CssCode(p1, p2)
 
 
-def apply_basis_change(bp: BoundaryPair, T) -> BoundaryPair:
-    """Re-express a boundary pair in the basis whose columns ``T`` describes.
+def apply_basis_change(code: CssCode, T) -> CssCode:
+    """Re-express a code's boundary pair in the basis whose columns ``T`` describes.
 
     Column ``j`` of ``T`` holds the current-basis coordinates of the ``j``-th
-    new basis vector.  ``p1`` maps to ``p1 @ T`` and ``p2`` (rows being
-    characteristic vectors) to ``p2 @ (T^-1)^t``, which preserves the chain
+    new basis vector.  ``hx`` maps to ``hx @ T`` and ``hz`` (rows being
+    characteristic vectors) to ``hz @ (T^-1)^t``, which preserves the chain
     condition.
     """
     T = gf2.as_matrix(T)
-    n = bp.n
+    n = code.n
     if T.shape != (n, n):
         raise ValueError(f"basis change is {T.shape}, expected {(n, n)}")
-    T_inv = gf2.invert(T)
-    p1 = gf2.mul(bp.p1, T)
-    p2 = gf2.mul(bp.p2, T_inv.T)
-    combined = gf2.mul(bp.basis.transform, T)
-    kind = "special" if np.array_equal(combined, gf2.identity(n)) else "general"
-    return BoundaryPair(p1, p2, QuotientBasis(kind, bp.basis.darts, combined))
+    return CssCode(gf2.mul(code.hx, T), gf2.mul(code.hz, gf2.invert(T).T))

@@ -1,11 +1,13 @@
 """CSS stabilizer codes built from hypermap boundary pairs.
 
 A :class:`CssCode` is the pair of generator matrices ``(hx, hz)`` with
-``hx @ hz^t = 0``; rows are generators, columns are qubits.  Dependent rows
-are kept, since the row spaces are what define the code; :func:`reduced`
-drops them for display.  The canonical code of a hypermap places one qubit
-on each nonspecial dart; any invertible basis change of the underlying
-quotient space is realized on the code by a CNOT circuit obtained from the
+``hx @ hz^t = 0``; rows are generators, columns are qubits.  The class lives
+in :mod:`~hypermap_codes.chain`, whose :func:`boundary_pair` returns the
+canonical code, and is re-exported here.  Dependent rows are kept, since
+the row spaces are what define the code; :func:`reduced` drops them for
+display.  The canonical code of a hypermap places one qubit on each
+nonspecial dart; any invertible basis change of the underlying quotient
+space is realized on the code by a CNOT circuit obtained from the
 elementary-factor decomposition of the change matrix.  A
 :class:`CnotCircuit` holds its gates as one ``(m, 2)`` array of 1-based
 ``(control, target)`` labels, from the decomposition to the gate loop of
@@ -21,32 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gf2
-from .chain import apply_basis_change, boundary_pair
+from .chain import CssCode, apply_basis_change, boundary_pair
 from .hypermap import Hypermap, SpecialDartSet, choose_special_darts
-
-
-@dataclass(frozen=True)
-class CssCode:
-    hx: np.ndarray
-    hz: np.ndarray
-
-    def __post_init__(self):
-        hx = gf2.as_matrix(self.hx).copy()
-        hz = gf2.as_matrix(self.hz).copy()
-        if hx.shape[1] != hz.shape[1]:
-            raise ValueError(
-                f"hx has {hx.shape[1]} columns but hz has {hz.shape[1]}"
-            )
-        if np.any(gf2.mul(hx, hz.T)):
-            raise ValueError("hx and hz are not orthogonal over GF(2)")
-        hx.setflags(write=False)
-        hz.setflags(write=False)
-        object.__setattr__(self, "hx", hx)
-        object.__setattr__(self, "hz", hz)
-
-    @property
-    def n(self) -> int:
-        return self.hx.shape[1]
 
 
 @dataclass(frozen=True)
@@ -116,8 +94,7 @@ def build_canonical(H: Hypermap, S: SpecialDartSet | None = None) -> CssCode:
     """
     if S is None:
         S = choose_special_darts(H)
-    bp = boundary_pair(H, S)
-    return CssCode(bp.p1, bp.p2)
+    return boundary_pair(H, S)
 
 
 def reduced(code: CssCode) -> CssCode:
@@ -157,35 +134,20 @@ def cnot_circuit(T) -> CnotCircuit:
     return CnotCircuit(gf2._elementary_pairs(T), T.shape[0])
 
 
-def _bit_columns(M: np.ndarray) -> list[int]:
-    """Columns of ``M`` as Python ints: each column's bits packed big-endian, row 0 first."""
-    width = (M.shape[0] + 7) // 8
-    data = np.packbits(M.T, axis=1).tobytes()
-    return [int.from_bytes(data[c * width : (c + 1) * width], "big") for c in range(M.shape[1])]
-
-
-def _from_bit_columns(columns: list[int], rows: int) -> np.ndarray:
-    """Inverse of :func:`_bit_columns` for a matrix with ``rows`` rows."""
-    width = (rows + 7) // 8
-    data = b"".join(col.to_bytes(width, "big") for col in columns)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(columns), width)
-    return np.unpackbits(packed, axis=1, count=rows).T
-
-
 def _apply_gates(code: CssCode, pairs) -> CssCode:
     """Apply 1-based ``(control, target)`` pairs in order to one working copy, then validate once.
 
-    Every column is held as a Python int, so a gate is one XOR of two ints in
-    each sector; a leading unused entry lets the 1-based labels index the
-    column lists directly.  The pairs must already be checked against
-    ``code.n``.
+    Every column is held as a Python int (packed as a row of the transpose),
+    so a gate is one XOR of two ints in each sector; a leading unused entry
+    lets the 1-based labels index the column lists directly.  The pairs must
+    already be checked against ``code.n``.
     """
-    xcols, zcols = [0, *_bit_columns(code.hx)], [0, *_bit_columns(code.hz)]
+    xcols, zcols = [0, *gf2._pack_rows(code.hx.T)], [0, *gf2._pack_rows(code.hz.T)]
     for c, t in pairs:
         xcols[t] ^= xcols[c]
         zcols[c] ^= zcols[t]
-    hx = _from_bit_columns(xcols[1:], code.hx.shape[0])
-    hz = _from_bit_columns(zcols[1:], code.hz.shape[0])
+    hx = gf2._unpack_rows(xcols[1:], code.hx.shape[0]).T
+    hz = gf2._unpack_rows(zcols[1:], code.hz.shape[0]).T
     return CssCode(hx, hz)
 
 
@@ -235,8 +197,7 @@ def stabilizer_equal(a: CssCode, b: CssCode) -> bool:
 
 def code_from_boundary_change(H: Hypermap, S: SpecialDartSet, T) -> CssCode:
     """Noncanonical code via the boundary-pair route (independent of CNOTs)."""
-    bp = apply_basis_change(boundary_pair(H, S), T)
-    return CssCode(bp.p1, bp.p2)
+    return apply_basis_change(boundary_pair(H, S), T)
 
 
 # --- stabilizer block file format ---------------------------------------------

@@ -203,7 +203,8 @@ class Hypermap:
         n = self.sigma.n
         if n == 0:
             raise NotConnectedError("a hypermap needs at least one dart")
-        # Union-find over the generator images checks transitivity.
+        # Union-find over the generator images checks transitivity; both
+        # image tuples are already known to be bijections on 1..n.
         parent = list(range(n))
 
         def find(x: int) -> int:
@@ -212,9 +213,9 @@ class Hypermap:
                 x = parent[x]
             return x
 
-        for d in range(1, n + 1):
-            for image in (self.sigma(d), self.tau(d)):
-                a, b = find(d - 1), find(image - 1)
+        for d, images in enumerate(zip(self.sigma.image, self.tau.image)):
+            for image in images:
+                a, b = find(d), find(image - 1)
                 if a != b:
                     parent[a] = b
         roots = {find(x) for x in range(n)}
@@ -291,21 +292,28 @@ class Hypermap:
         return self.hyperedges().orbit_index(dart)
 
 
-def check_special_darts(H: Hypermap, S: SpecialDartSet) -> None:
-    """Require exactly one dart of ``S`` on every hyperedge of ``H``."""
-    edges = H.hyperedges()
-    if len(S.darts) != len(edges):
-        raise ValueError(f"{len(S.darts)} special darts for {len(edges)} hyperedges")
+def _claim_hyperedges(edges: OrbitPartition, n: int, darts) -> dict[int, int]:
+    """``{hyperedge: dart}`` for ``darts`` in ``1..n``, rejecting two darts on one hyperedge."""
     claimed: dict[int, int] = {}
-    for d in S.darts:
-        if not 1 <= d <= H.n_darts:
-            raise ValueError(f"special dart {d} out of range 1..{H.n_darts}")
+    for d in darts:
+        d = int(d)
+        if not 1 <= d <= n:
+            raise ValueError(f"special dart {d} out of range 1..{n}")
         k = edges.orbit_index(d)
         if k in claimed:
             raise DuplicateHyperedgeError(
                 f"darts {claimed[k]} and {d} lie on the same hyperedge"
             )
         claimed[k] = d
+    return claimed
+
+
+def check_special_darts(H: Hypermap, S: SpecialDartSet) -> None:
+    """Require exactly one dart of ``S`` on every hyperedge of ``H``."""
+    edges = H.hyperedges()
+    if len(S.darts) != len(edges):
+        raise ValueError(f"{len(S.darts)} special darts for {len(edges)} hyperedges")
+    _claim_hyperedges(edges, H.n_darts, S.darts)
 
 
 def choose_special_darts(H: Hypermap, preferred=None) -> SpecialDartSet:
@@ -318,17 +326,7 @@ def choose_special_darts(H: Hypermap, preferred=None) -> SpecialDartSet:
     edges = H.hyperedges()
     chosen = [orbit[0] for orbit in edges.orbits]
     if preferred is not None:
-        claimed: dict[int, int] = {}
-        for d in preferred:
-            d = int(d)
-            if not 1 <= d <= H.n_darts:
-                raise ValueError(f"special dart {d} out of range 1..{H.n_darts}")
-            k = edges.orbit_index(d)
-            if k in claimed:
-                raise DuplicateHyperedgeError(
-                    f"darts {claimed[k]} and {d} lie on the same hyperedge"
-                )
-            claimed[k] = d
+        for k, d in _claim_hyperedges(edges, H.n_darts, preferred).items():
             chosen[k] = d
     return SpecialDartSet(tuple(chosen))
 

@@ -12,10 +12,12 @@ reinterpreted as a hypermap.
 The conversion from a hypermap to its equivalent surface graph is executed
 combinatorially: the output's edges pair each nonspecial dart with its
 tau-predecessor's vertex, and its faces are read off the face-boundary
-matrix, which is exactly the merged-face boundary the drawing-based
-procedure produces.  :func:`intermediate_surface` materializes the pre-merge
-stage (all darts kept as edges, hyperedges as extra faces) for DOT export
-and debugging.
+matrix ``hz`` of the canonical code
+(:func:`~hypermap_codes.chain.boundary_pair`), whose columns are the
+nonspecial darts in ascending order.  That matrix is exactly the merged-face
+boundary the drawing-based procedure produces.  :func:`intermediate_surface`
+materializes the pre-merge stage (all darts kept as edges, hyperedges as
+extra faces) for DOT export and debugging.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonfmt import compact_json
-from .chain import BoundaryPair, boundary_pair
+from .chain import boundary_pair, nonspecial_darts
 from .css import CodeParams, CssCode, params, stabilizer_equal
 from .hypermap import (
     Hypermap,
@@ -189,18 +191,22 @@ def hypermap_to_surface(H: Hypermap, S: SpecialDartSet | None = None) -> Surface
     """
     if S is None:
         S = choose_special_darts(H)
-    return _surface_from_pair(H, boundary_pair(H, S))
+    return _surface_from_code(H, S, boundary_pair(H, S))
 
 
-def _surface_from_pair(H: Hypermap, bp: BoundaryPair) -> SurfaceGraph:
-    """Surface graph read off the special-basis boundary pair of ``H``."""
+def _surface_from_code(H: Hypermap, S: SpecialDartSet, code: CssCode) -> SurfaceGraph:
+    """Surface graph read off the canonical code ``boundary_pair(H, S)``.
+
+    Column ``k`` of the code is the ``k``-th dart of :func:`nonspecial_darts`,
+    which becomes the edge label.
+    """
     vertex = H.vertices().labels
     tau_inv = H.tau.inverse().image
-    basis = bp.basis.darts
+    basis = nonspecial_darts(H, S)
     edges = tuple((vertex[d - 1] + 1, vertex[tau_inv[d - 1] - 1] + 1, d) for d in basis)
-    rows, cols = np.nonzero(bp.p2)  # row-major, so grouped by face
+    rows, cols = np.nonzero(code.hz)  # row-major, so grouped by face
     labels = np.array(basis)[cols]
-    bounds = np.searchsorted(rows, np.arange(bp.p2.shape[0] + 1))
+    bounds = np.searchsorted(rows, np.arange(code.hz.shape[0] + 1))
     faces = tuple(
         frozenset(labels[lo:hi].tolist()) for lo, hi in zip(bounds[:-1], bounds[1:])
     )
@@ -257,15 +263,14 @@ class EquivalenceReport:
 def verify_equivalence(H: Hypermap, S: SpecialDartSet | None = None) -> EquivalenceReport:
     """Build the canonical code and its surface code and compare stabilizers.
 
-    Both come from one boundary pair: the canonical code is ``(p1, p2)`` and
-    the surface graph is read off the same matrices.  When the two codes
-    have identical matrices, as they usually do, they are ranked once.
+    The canonical code is the boundary pair ``(p1, p2)``, built and checked
+    once, and the surface graph is read off the same matrices.  When the two
+    codes have identical matrices, as they usually do, they are ranked once.
     """
     if S is None:
         S = choose_special_darts(H)
-    bp = boundary_pair(H, S)
-    hmap_code = CssCode(bp.p1, bp.p2)
-    graph = _surface_from_pair(H, bp)
+    hmap_code = boundary_pair(H, S)
+    graph = _surface_from_code(H, S, hmap_code)
     surf_code = surface_code(graph)
     hmap_params = params(hmap_code)
     same = np.array_equal(hmap_code.hx, surf_code.hx) and np.array_equal(hmap_code.hz, surf_code.hz)

@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
+import hypermap_codes
 from hypermap_codes import (
+    CssCode,
     Hypermap,
     Permutation,
     apply_basis_change,
@@ -12,10 +14,11 @@ from hypermap_codes import (
     dart_vertex_sum,
     face_dart_sum,
     hyperedge_dart_sum,
+    hypermap_to_surface,
     nonspecial_darts,
     project_nonspecial,
 )
-from hypermap_codes import gf2
+from hypermap_codes import chain, css, gf2
 from util import (
     random_hypermap,
     random_invertible,
@@ -117,28 +120,32 @@ def test_edge_relation_also_cancels_in_vertex_map():
 
 def test_boundary_pair_torus_golden():
     H, S = torus_hypermap()
-    bp = boundary_pair(H, S)
-    assert np.array_equal(bp.p1, np.ones((2, 6), dtype=np.uint8))
-    assert np.array_equal(bp.p2, TORUS_P2)
-    assert bp.basis.kind == "special"
-    assert bp.basis.darts == (1, 2, 4, 5, 6, 8)
+    code = boundary_pair(H, S)
+    assert isinstance(code, CssCode)
+    assert np.array_equal(code.hx, np.ones((2, 6), dtype=np.uint8))
+    assert np.array_equal(code.hz, TORUS_P2)
+    assert hypermap_to_surface(H, S).edge_labels == (1, 2, 4, 5, 6, 8)
+
+
+def test_one_code_type():
+    assert hypermap_codes.CssCode is css.CssCode is chain.CssCode is CssCode
 
 
 def test_boundary_rows_sum_to_zero():
     H, S = torus_hypermap()
-    bp = boundary_pair(H, S)
-    assert not (bp.p2.sum(axis=0) % 2).any()
+    code = boundary_pair(H, S)
+    assert not (code.hz.sum(axis=0) % 2).any()
     # the last face row is the sum of the other three
-    assert np.array_equal(bp.p2[3], (bp.p2[0] + bp.p2[1] + bp.p2[2]) % 2)
+    assert np.array_equal(code.hz[3], (code.hz[0] + code.hz[1] + code.hz[2]) % 2)
 
 
 def test_boundary_pair_chain_condition_random():
     rng = random.Random(41)
     for _ in range(40):
         H = random_hypermap(rng, 2, 16)
-        bp = boundary_pair(H, choose_special_darts(H))
-        assert not ((bp.p1 @ bp.p2.T) % 2).any()
-        assert not (bp.p2.sum(axis=0) % 2).any()
+        code = boundary_pair(H, choose_special_darts(H))
+        assert not ((code.hx @ code.hz.T) % 2).any()
+        assert not (code.hz.sum(axis=0) % 2).any()
 
 
 def test_boundary_pair_matches_reference_helpers():
@@ -148,10 +155,10 @@ def test_boundary_pair_matches_reference_helpers():
         H = random_hypermap(rng, 1, 20)
         S = random_special_darts(rng, H)
         p1, p2 = reference_boundary_rows(H, S)
-        bp = boundary_pair(H, S)
-        assert np.array_equal(bp.p1, p1)
-        assert np.array_equal(bp.p2, p2)
-        assert bp.basis.darts == nonspecial_darts(H, S)
+        code = boundary_pair(H, S)
+        assert np.array_equal(code.hx, p1)
+        assert np.array_equal(code.hz, p2)
+        assert hypermap_to_surface(H, S).edge_labels == nonspecial_darts(H, S)
         one_dart_edges += sum(len(e) == 1 for e in H.hyperedges().orbits)
         loops += int(np.sum(~p1.any(axis=0)))
     assert one_dart_edges and loops
@@ -159,11 +166,10 @@ def test_boundary_pair_matches_reference_helpers():
 
 def test_basis_change_identity_is_noop():
     H, S = torus_hypermap()
-    bp = boundary_pair(H, S)
-    out = apply_basis_change(bp, gf2.identity(6))
-    assert np.array_equal(out.p1, bp.p1)
-    assert np.array_equal(out.p2, bp.p2)
-    assert out.basis.kind == "special"
+    code = boundary_pair(H, S)
+    out = apply_basis_change(code, gf2.identity(6))
+    assert np.array_equal(out.hx, code.hx)
+    assert np.array_equal(out.hz, code.hz)
 
 
 def test_basis_change_golden_rows():
@@ -171,14 +177,13 @@ def test_basis_change_golden_rows():
     H, S = torus_hypermap()
     T = gf2.elementary_matrix(gf2.ElementaryFactor(1, 2, 6))
     out = apply_basis_change(boundary_pair(H, S), T)
-    assert out.p1.tolist() == [[1, 0, 1, 1, 1, 1]] * 2
-    assert out.p2.tolist() == [
+    assert out.hx.tolist() == [[1, 0, 1, 1, 1, 1]] * 2
+    assert out.hz.tolist() == [
         [1, 0, 0, 1, 1, 1],
         [1, 1, 0, 0, 0, 1],
         [0, 1, 1, 1, 0, 0],
         [0, 0, 1, 0, 1, 0],
     ]
-    assert out.basis.kind == "general"
 
 
 def test_noncanonical_face_row_pinned_by_expansion():
@@ -195,23 +200,22 @@ def test_noncanonical_face_row_pinned_by_expansion():
     out = apply_basis_change(boundary_pair(H, S), T)
     expansion = [1, 1, 0, 0, 0, 1]
     lookalike = [1, 1, 1, 0, 0, 0]
-    row_for_w2_w8_face = out.p2[1]
+    row_for_w2_w8_face = out.hz[1]
     assert row_for_w2_w8_face.tolist() == expansion
     assert row_for_w2_w8_face.tolist() != lookalike
     for candidate in (expansion, lookalike):
-        assert not ((out.p1 @ np.array(candidate, dtype=np.uint8)) % 2).any()
+        assert not ((out.hx @ np.array(candidate, dtype=np.uint8)) % 2).any()
 
 
 def test_basis_change_round_trip():
     rng = random.Random(43)
     H, S = torus_hypermap()
-    bp = boundary_pair(H, S)
+    code = boundary_pair(H, S)
     for _ in range(20):
         T = random_invertible(rng, 6)
-        out = apply_basis_change(apply_basis_change(bp, T), gf2.invert(T))
-        assert np.array_equal(out.p1, bp.p1)
-        assert np.array_equal(out.p2, bp.p2)
-        assert out.basis.kind == "special"
+        out = apply_basis_change(apply_basis_change(code, T), gf2.invert(T))
+        assert np.array_equal(out.hx, code.hx)
+        assert np.array_equal(out.hz, code.hz)
 
 
 def test_basis_change_rejects_singular():

@@ -141,8 +141,8 @@ def test_invert_singular_message():
 def test_boundary_matrices_match_reference(seed, hyperedges, length):
     rng = random.Random(seed)
     H = random_cycle_hypermap(rng, hyperedges, length)
-    bp = boundary_pair(H, random_special_darts(rng, H))
-    for M in (bp.p1, bp.p2, bp.p1.T, bp.p2.T):
+    code = boundary_pair(H, random_special_darts(rng, H))
+    for M in (code.hx, code.hz, code.hx.T, code.hz.T):
         assert_same_echelon(np.ascontiguousarray(M))
         assert gf2.rank(M) == len(reference_row_echelon(M)[1])
 

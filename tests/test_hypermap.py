@@ -10,12 +10,14 @@ from hypermap_codes import (
     NotBijectiveError,
     NotConnectedError,
     Permutation,
+    SpecialDartSet,
     build_canonical,
     choose_special_darts,
     hypermap_from_json,
     hypermap_to_json,
     params,
 )
+from hypermap_codes.hypermap import check_special_darts
 from util import random_hypermap, random_permutation, torus_hypermap
 
 
@@ -144,6 +146,30 @@ def test_choose_special_duplicate_hyperedge():
     H, _ = torus_hypermap()
     with pytest.raises(DuplicateHyperedgeError):
         choose_special_darts(H, preferred=[1, 2])
+
+
+@pytest.mark.parametrize(
+    "darts, error, message",
+    [
+        ((1, 2), DuplicateHyperedgeError, r"^darts 1 and 2 lie on the same hyperedge$"),
+        ((9, 5), ValueError, r"^special dart 9 out of range 1\.\.8$"),
+        ((3, 0), ValueError, r"^special dart 0 out of range 1\.\.8$"),
+    ],
+    ids=["same-hyperedge", "above-range", "zero"],
+)
+def test_special_dart_errors_same_for_check_and_choose(darts, error, message):
+    H, _ = torus_hypermap()
+    with pytest.raises(error, match=message):
+        check_special_darts(H, SpecialDartSet(darts))
+    with pytest.raises(error, match=message):
+        choose_special_darts(H, preferred=darts)
+
+
+def test_check_special_darts_needs_one_per_hyperedge():
+    H, _ = torus_hypermap()
+    check_special_darts(H, SpecialDartSet((3, 7)))
+    with pytest.raises(ValueError, match=r"^1 special darts for 2 hyperedges$"):
+        check_special_darts(H, SpecialDartSet((3,)))
 
 
 def test_counts_invariant_under_relabeling():

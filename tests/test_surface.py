@@ -26,7 +26,7 @@ from hypermap_codes import (
     toric_rotation_graph,
     verify_equivalence,
 )
-from hypermap_codes import surface
+from hypermap_codes import gf2, surface
 from hypermap_codes.surface import (
     rotation_graph_from_json,
     rotation_graph_to_json,
@@ -184,6 +184,25 @@ def test_verify_equivalence_ranks_identical_codes_once(monkeypatch):
     report = verify_equivalence(H, S)
     assert report.equal and len(ranked) == 2
     assert report.surface_params == report.hypermap_params
+
+
+def test_each_code_is_checked_once(monkeypatch):
+    # One orthogonality product per code built: the canonical code, plus the
+    # surface code in verify.
+    products = []
+    original = gf2.mul
+
+    def counting(A, B):
+        products.append((np.shape(A), np.shape(B)))
+        return original(A, B)
+
+    monkeypatch.setattr(gf2, "mul", counting)
+    H, S = graph_to_hypermap(toric_rotation_graph(4, 4))
+    build_canonical(H, S)
+    assert len(products) == 1
+    products.clear()
+    assert verify_equivalence(H, S).equal
+    assert len(products) == 2
 
 
 def test_verify_equivalence_toric_24x24():
