@@ -17,7 +17,6 @@ from .chain import (
 )
 from .css import (
     CnotCircuit,
-    CnotGate,
     CodeParams,
     CssCode,
     apply_cnot,
@@ -39,7 +38,7 @@ from .distance import (
     distance_exhaustive,
     distance_split,
 )
-from .gf2 import ElementaryFactor, SingularMatrixError, decompose_elementary, elementary_matrix
+from .gf2 import SingularMatrixError, decompose_elementary, elementary_matrix
 from .hypermap import (
     DuplicateHyperedgeError,
     Hypermap,

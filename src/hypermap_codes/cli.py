@@ -128,7 +128,7 @@ def _print_row_space_diff(a: css.CssCode, b: css.CssCode) -> None:
 def cmd_decompose(args) -> int:
     T = gf2.read_matrix(args.matrix)
     circuit = css.cnot_circuit(T)
-    sys.stdout.write("".join(f"CNOT {c} {t}\n" for c, t in circuit.pairs.tolist()))
+    sys.stdout.write("".join(f"CNOT {c} {t}\n" for c, t in circuit.gates.tolist()))
     print(f"gates={len(circuit)} bound={circuit.n * circuit.n}")
     return 0
 

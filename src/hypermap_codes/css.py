@@ -8,11 +8,12 @@ the row spaces are what define the code; :func:`reduced` drops them for
 display.  The canonical code of a hypermap places one qubit on each
 nonspecial dart; any invertible basis change of the underlying quotient
 space is realized on the code by a CNOT circuit obtained from the
-elementary-factor decomposition of the change matrix.  A
-:class:`CnotCircuit` holds its gates as one ``(m, 2)`` array of 1-based
-``(control, target)`` labels, from the decomposition to the gate loop of
-:func:`transform`; :attr:`CnotCircuit.gates` builds :class:`CnotGate`
-objects on demand.
+elementary-factor decomposition of the change matrix.  A gate is a 1-based
+``(control, target)`` pair, and a :class:`CnotCircuit` holds its gates as
+one ``(m, 2)`` array: factor ``f_ij`` of
+:func:`~hypermap_codes.gf2.decompose_elementary` is the CNOT with control
+``i`` and target ``j``, so the array passes unchanged from the
+decomposition to the gate loop of :func:`transform`.
 """
 
 from __future__ import annotations
@@ -37,52 +38,39 @@ class CodeParams:
 
 
 @dataclass(frozen=True)
-class CnotGate:
-    """CNOT acting on 1-based qubit labels, ``control != target``."""
-
-    control: int
-    target: int
-
-    def __post_init__(self):
-        if self.control < 1 or self.target < 1:
-            raise ValueError("qubit labels are 1-based")
-        if self.control == self.target:
-            raise ValueError("control and target must differ")
-
-
-@dataclass(frozen=True)
 class CnotCircuit:
     """A CNOT circuit on ``n`` qubits, held as one ``(m, 2)`` integer array.
 
-    Row ``l`` of ``pairs`` is the 1-based ``(control, target)`` of gate
-    ``l``.  All gates are checked at once, with the messages
-    :class:`CnotGate` and the ``n`` and ``n^2`` bounds give for the first
-    bad gate; :attr:`gates` builds the :class:`CnotGate` objects on demand.
+    Row ``l`` of ``gates`` is the 1-based ``(control, target)`` of gate
+    ``l``.  All gates are checked at once; each error names the first bad
+    gate.  This is the one place gates are validated.
     """
 
-    pairs: np.ndarray
+    gates: np.ndarray
     n: int
 
     def __post_init__(self):
-        pairs = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
-        control, target = pairs[:, 0], pairs[:, 1]
+        gates = np.asarray(self.gates)
+        if gates.size and gates.dtype.kind not in "iu":
+            raise ValueError(f"gate labels must be integers, got {gates.dtype}")
+        gates = gates.astype(np.intp).reshape(-1, 2)
+        control, target = gates[:, 0], gates[:, 1]
         bad = np.flatnonzero((control < 1) | (target < 1) | (control == target))
         if bad.size:
-            CnotGate(*pairs[bad[0]].tolist())  # raises the gate's own error
+            if gates[bad[0]].min() < 1:
+                raise ValueError("qubit labels are 1-based")
+            raise ValueError("control and target must differ")
         bad = np.flatnonzero((control > self.n) | (target > self.n))
         if bad.size:
-            raise ValueError(f"gate {CnotGate(*pairs[bad[0]].tolist())} exceeds {self.n} qubits")
-        if len(pairs) > self.n * self.n:
-            raise ValueError(f"{len(pairs)} gates exceed the n^2 bound")
-        pairs.setflags(write=False)
-        object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def gates(self) -> tuple[CnotGate, ...]:
-        return tuple(CnotGate(c, t) for c, t in self.pairs.tolist())
+            c, t = gates[bad[0]].tolist()
+            raise ValueError(f"gate ({c}, {t}) exceeds {self.n} qubits")
+        if len(gates) > self.n * self.n:
+            raise ValueError(f"{len(gates)} gates exceed the n^2 bound")
+        gates.setflags(write=False)
+        object.__setattr__(self, "gates", gates)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.gates)
 
 
 def build_canonical(H: Hypermap, S: SpecialDartSet | None = None) -> CssCode:
@@ -127,23 +115,23 @@ def cnot_circuit(T) -> CnotCircuit:
     """CNOT realization of a basis change matrix.
 
     Gate ``l`` is ``(control i_l, target j_l)`` where the elementary factors
-    of ``T`` multiply out to ``T`` in gate order.  The gates stay the index
-    array of the elimination; no per-gate object is built.
+    of ``T`` multiply out to ``T`` in gate order: the gates are the index
+    array of :func:`~hypermap_codes.gf2.decompose_elementary` itself.
     """
     T = gf2.as_matrix(T)
-    return CnotCircuit(gf2._elementary_pairs(T), T.shape[0])
+    return CnotCircuit(gf2.decompose_elementary(T), T.shape[0])
 
 
-def _apply_gates(code: CssCode, pairs) -> CssCode:
-    """Apply 1-based ``(control, target)`` pairs in order to one working copy, then validate once.
+def _apply_gates(code: CssCode, gates) -> CssCode:
+    """Apply 1-based ``(control, target)`` gates in order to one working copy, then validate once.
 
     Every column is held as a Python int (packed as a row of the transpose),
     so a gate is one XOR of two ints in each sector; a leading unused entry
-    lets the 1-based labels index the column lists directly.  The pairs must
-    already be checked against ``code.n``.
+    lets the 1-based labels index the column lists directly.  The gates must
+    already be checked by :class:`CnotCircuit`.
     """
     xcols, zcols = [0, *gf2._pack_rows(code.hx.T)], [0, *gf2._pack_rows(code.hz.T)]
-    for c, t in pairs:
+    for c, t in gates:
         xcols[t] ^= xcols[c]
         zcols[c] ^= zcols[t]
     hx = gf2._unpack_rows(xcols[1:], code.hx.shape[0]).T
@@ -151,14 +139,13 @@ def _apply_gates(code: CssCode, pairs) -> CssCode:
     return CssCode(hx, hz)
 
 
-def apply_cnot(code: CssCode, gate: CnotGate) -> CssCode:
-    """Column action of one CNOT: control into target on hx, target into control on hz.
+def apply_cnot(code: CssCode, gate) -> CssCode:
+    """One CNOT ``(control, target)``: control into target on hx, target into control on hz.
 
-    Runs the same in-place loop as :func:`transform` on a one-gate list.
+    The gate is checked as a one-gate :class:`CnotCircuit` on ``code.n``
+    qubits, then runs through the same in-place loop as :func:`transform`.
     """
-    if gate.control > code.n or gate.target > code.n:
-        raise ValueError(f"gate {gate} exceeds {code.n} qubits")
-    return _apply_gates(code, [(gate.control, gate.target)])
+    return _apply_gates(code, CnotCircuit([gate], code.n).gates.tolist())
 
 
 def transform(code: CssCode, T) -> CssCode:
@@ -167,14 +154,13 @@ def transform(code: CssCode, T) -> CssCode:
     The circuit is built and checked as by :func:`cnot_circuit`; the rows of
     its index array then act in order on one working copy of ``hx`` and
     ``hz``, and the result is validated once, as a single :class:`CssCode`.
-    No :class:`CnotGate` or :class:`~hypermap_codes.gf2.ElementaryFactor`
-    is built.  It equals rebuilding the code from the basis-changed boundary
-    pair; both routes are exercised by the tests.
+    It equals rebuilding the code from the basis-changed boundary pair;
+    both routes are exercised by the tests.
     """
     circuit = cnot_circuit(T)
     if circuit.n != code.n:
         raise ValueError(f"basis change acts on {circuit.n} qubits, code has {code.n}")
-    return _apply_gates(code, circuit.pairs.tolist())
+    return _apply_gates(code, circuit.gates.tolist())
 
 
 def _same_row_space(A, B) -> bool:

@@ -44,31 +44,20 @@ class NoLogicalOperatorError(ValueError):
     """The code has no logical operators (k = 0), so no distance."""
 
 
-def _reduce(v: int, reducer) -> int:
-    """``v`` modulo the excluded row space; 0 exactly when ``v`` lies in it.
-
-    ``reducer`` lists ``(pivot, row)`` of the reduced echelon form, so the
-    map is linear: reducing a sum is the sum of the reductions.
-    """
-    for p, row in reducer:
-        if (v >> p) & 1:
-            v ^= row
-    return v
-
-
 def _packed_sector(stab, excl):
     """``(cols, reducer, dim)`` for one sector.
 
     ``cols[j]`` packs column ``j`` of the row-reduced check matrix, so a
     set of columns XORs to 0 exactly when its indicator vector is in
-    ``ker(H)``; ``reducer`` packs the excluded row space for :func:`_reduce`;
-    ``dim`` is ``dim ker(H)``.
+    ``ker(H)``; ``reducer`` is the echelon basis ``(basis, mask)`` of the
+    excluded row space for ``gf2._reduce``, which maps a vector to the one
+    member of its coset with no pivot bit: the map is linear, and 0 exactly
+    on the row space.  ``dim`` is ``dim ker(H)``.
     """
     n = stab.shape[1]
     R, pivots = gf2.row_echelon(stab)
     cols = gf2._pack_rows(R[: len(pivots)].T)
-    reducer = list(gf2._reduced_rows(excl).items())
-    return cols, reducer, n - len(pivots)
+    return cols, gf2._forward(gf2._pack_rows(excl)), n - len(pivots)
 
 
 def _weight_search(cols, reducer, max_weight: int) -> int:
@@ -84,7 +73,7 @@ def _weight_search(cols, reducer, max_weight: int) -> int:
             v = 0
             for j in combo:
                 v |= 1 << j
-            if _reduce(v, reducer):
+            if gf2._reduce(v, *reducer):
                 return w
     return 0
 
@@ -101,12 +90,12 @@ def _kernel_search(basis, reducer) -> int:
     """Minimum logical weight over all of ``ker(H)``, or 0 if there is none.
 
     ``basis`` is a kernel basis, one 0/1 row per vector of at most 64
-    columns.  Since :func:`_reduce` is linear, each basis vector is reduced
+    columns.  Since the reduction is linear, each basis vector is reduced
     once and the images are combined alongside the vectors: a combination
     lies outside the excluded row space exactly when its image is nonzero.
     """
     vectors = gf2._pack_rows(basis)
-    images = [_reduce(v, reducer) for v in vectors]
+    images = [gf2._reduce(v, *reducer) for v in vectors]
     low = min(len(vectors), TABLE_BITS)
     table, table_images = _span(vectors[:low]), _span(images[:low])
     high, high_images = _span(vectors[low:]), _span(images[low:])

@@ -6,10 +6,9 @@ Matrices are plain ``numpy.ndarray`` objects with dtype uint8 and entries in
 matrix and works by int XOR; products go through BLAS (:func:`mul`).
 Array axes are 0-based as usual, but the column indices of an
 elementary-factor decomposition are 1-based, matching the dart and qubit
-labels used in every file format and CLI surface.  The decomposition is
-computed as one ``(m, 2)`` index array (:func:`_elementary_pairs`), which
-the CNOT path uses as it is; :func:`decompose_elementary` wraps its rows
-in :class:`ElementaryFactor` objects.
+labels used in every file format and CLI surface.  A decomposition is one
+``(m, 2)`` index array of 1-based ``(i, j)`` (:func:`decompose_elementary`),
+which the CNOT path uses as its gate list; no per-factor object is built.
 
 The module also owns the plain-text matrix format used by all import/export:
 a first line ``"rows cols"`` followed by one line of space-separated 0/1
@@ -18,7 +17,6 @@ entries per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -140,12 +138,6 @@ def _back_substitute(basis: dict[int, int], mask: int) -> dict[int, int]:
     return reduced
 
 
-def _reduced_rows(M) -> dict[int, int]:
-    """``{pivot: row}`` of the reduced row-echelon form, ascending by pivot."""
-    reduced = _back_substitute(*_forward(_pack_rows(M)))
-    return dict(sorted(reduced.items()))
-
-
 def row_echelon(M) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(2).
 
@@ -156,7 +148,7 @@ def row_echelon(M) -> tuple[np.ndarray, list[int]]:
     """
     M = as_matrix(M)
     rows, cols = M.shape
-    reduced = _reduced_rows(M)
+    reduced = dict(sorted(_back_substitute(*_forward(_pack_rows(M))).items()))
     R = np.zeros((rows, cols), dtype=np.uint8)
     R[: len(reduced)] = _unpack_rows(reduced.values(), cols)
     return R, list(reduced)
@@ -216,36 +208,31 @@ def invert(T) -> np.ndarray:
     return _unpack_rows([reduced[i] >> n for i in range(n)], n)
 
 
-@dataclass(frozen=True)
-class ElementaryFactor:
-    """A column-addition factor: identity plus a single 1 at row i, column j.
+def elementary_matrix(i: int, j: int, n: int) -> np.ndarray:
+    """The column-addition factor ``f_ij``: identity plus a single 1 at row i, column j.
 
-    Right-multiplying by this factor adds column ``i`` into column ``j``.
-    Indices are 1-based.
+    Right-multiplying by it adds column ``i`` into column ``j``.  Indices
+    are 1-based.
     """
-
-    i: int
-    j: int
-    n: int
-
-    def __post_init__(self):
-        if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
-            raise ValueError(f"factor indices ({self.i},{self.j}) out of 1..{self.n}")
-        if self.i == self.j:
-            raise ValueError("factor source and destination must differ")
-
-
-def elementary_matrix(f: ElementaryFactor) -> np.ndarray:
-    M = identity(f.n)
-    M[f.i - 1, f.j - 1] = 1
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"factor indices ({i},{j}) out of 1..{n}")
+    if i == j:
+        raise ValueError("factor source and destination must differ")
+    M = identity(n)
+    M[i - 1, j - 1] = 1
     return M
 
 
-def _elementary_pairs(T) -> np.ndarray:
-    """Elementary factors of an invertible ``T`` as an ``(m, 2)`` array of 1-based ``(i, j)``.
+def decompose_elementary(T) -> np.ndarray:
+    """Factor an invertible matrix into elementary column-addition factors.
 
-    Row ``l`` is factor ``f_l`` of :func:`decompose_elementary`, in the same
-    order; an identity matrix gives a ``(0, 2)`` array.
+    Returns an ``(m, 2)`` array whose row ``l`` is the 1-based ``(i, j)`` of
+    factor ``f_l``, with ``f_1 * ... * f_m = T`` and the reversed product
+    equal to ``T^-1``; ``m <= n^2``, and an identity matrix gives a
+    ``(0, 2)`` array.  Deterministic: rows are processed in ascending order,
+    and a zero diagonal entry is repaired with the smallest column to its
+    right holding a 1 (such a column exists exactly when the matrix is
+    invertible).
     """
     M = as_matrix(T)
     n = M.shape[0]
@@ -286,26 +273,11 @@ def _elementary_pairs(T) -> np.ndarray:
     return pairs[::-1] + 1
 
 
-def decompose_elementary(T) -> list[ElementaryFactor]:
-    """Factor an invertible matrix into elementary column-addition factors.
-
-    Returns factors ``f_1 .. f_m`` with ``f_1 * ... * f_m = T`` and the
-    reversed product equal to ``T^-1``; ``m <= n^2``.  Deterministic: rows
-    are processed in ascending order, and a zero diagonal entry is repaired
-    with the smallest column to its right holding a 1 (such a column exists
-    exactly when the matrix is invertible).  This is a list view of
-    :func:`_elementary_pairs`, which the CNOT path uses directly.
-    """
-    pairs = _elementary_pairs(T)
-    n = np.shape(T)[0]
-    return [ElementaryFactor(i, j, n) for i, j in pairs.tolist()]
-
-
 def multiply_factors(factors, n: int) -> np.ndarray:
-    """Ordered product of elementary factors (identity for an empty list)."""
+    """Ordered product of elementary factors, given as ``(i, j)`` rows (identity for none)."""
     M = identity(n)
-    for f in factors:
-        M = mul(M, elementary_matrix(f))
+    for i, j in factors:
+        M = mul(M, elementary_matrix(i, j, n))
     return M
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import index
 from pathlib import Path
 
 from ._jsonfmt import compact_json
@@ -62,7 +63,7 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        image = tuple(int(x) for x in self.image)
+        image = tuple(map(index, self.image))
         object.__setattr__(self, "image", image)
         if sorted(image) != list(range(1, len(image) + 1)):
             raise NotBijectiveError(f"images {image} are not a bijection on 1..{len(image)}")
@@ -77,7 +78,7 @@ class Permutation:
         image = list(range(1, n + 1))
         seen: set[int] = set()
         for cycle in cycles:
-            cycle = [int(x) for x in cycle]
+            cycle = list(map(index, cycle))
             for x in cycle:
                 if not 1 <= x <= n:
                     raise ValueError(f"cycle entry {x} out of range 1..{n}")
@@ -134,10 +135,6 @@ class Permutation:
             orbits.append(tuple(cycle))
         return OrbitPartition(tuple(orbits))
 
-    def cycle_notation(self) -> str:
-        parts = [f"({' '.join(map(str, orb))})" for orb in self.orbits().orbits if len(orb) > 1]
-        return "".join(parts) if parts else "id"
-
 
 @dataclass(frozen=True)
 class OrbitPartition:
@@ -178,7 +175,7 @@ class SpecialDartSet:
     darts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "darts", tuple(int(d) for d in self.darts))
+        object.__setattr__(self, "darts", tuple(map(index, self.darts)))
 
     def __iter__(self):
         return iter(self.darts)
@@ -295,8 +292,7 @@ class Hypermap:
 def _claim_hyperedges(edges: OrbitPartition, n: int, darts) -> dict[int, int]:
     """``{hyperedge: dart}`` for ``darts`` in ``1..n``, rejecting two darts on one hyperedge."""
     claimed: dict[int, int] = {}
-    for d in darts:
-        d = int(d)
+    for d in map(index, darts):
         if not 1 <= d <= n:
             raise ValueError(f"special dart {d} out of range 1..{n}")
         k = edges.orbit_index(d)

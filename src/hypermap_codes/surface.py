@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,9 @@ class SurfaceGraph:
     faces: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        edges = tuple((int(a), int(b), int(label)) for a, b, label in self.edges)
-        faces = tuple(frozenset(int(x) for x in face) for face in self.faces)
+        edges = tuple((index(a), index(b), index(label)) for a, b, label in self.edges)
+        faces = tuple(frozenset(map(index, face)) for face in self.faces)
+        object.__setattr__(self, "vertex_count", index(self.vertex_count))
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "faces", faces)
         if self.vertex_count < 1:
@@ -87,8 +89,9 @@ class RotationGraph:
     rotation: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        edges = tuple((int(a), int(b)) for a, b in self.edges)
-        rotation = tuple(tuple(int(h) for h in cycle) for cycle in self.rotation)
+        edges = tuple((index(a), index(b)) for a, b in self.edges)
+        rotation = tuple(tuple(map(index, cycle)) for cycle in self.rotation)
+        object.__setattr__(self, "vertex_count", index(self.vertex_count))
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "rotation", rotation)
         if self.vertex_count < 1:

@@ -175,7 +175,7 @@ def test_basis_change_identity_is_noop():
 def test_basis_change_golden_rows():
     # New basis: first vector stays, second becomes the sum of the first two.
     H, S = torus_hypermap()
-    T = gf2.elementary_matrix(gf2.ElementaryFactor(1, 2, 6))
+    T = gf2.elementary_matrix(1, 2, 6)
     out = apply_basis_change(boundary_pair(H, S), T)
     assert out.hx.tolist() == [[1, 0, 1, 1, 1, 1]] * 2
     assert out.hz.tolist() == [
@@ -196,7 +196,7 @@ def test_noncanonical_face_row_pinned_by_expansion():
     cannot catch a slip here; only the expansion fixes the row.
     """
     H, S = torus_hypermap()
-    T = gf2.elementary_matrix(gf2.ElementaryFactor(1, 2, 6))
+    T = gf2.elementary_matrix(1, 2, 6)
     out = apply_basis_change(boundary_pair(H, S), T)
     expansion = [1, 1, 0, 0, 0, 1]
     lookalike = [1, 1, 1, 0, 0, 0]

@@ -5,7 +5,6 @@ import pytest
 
 from hypermap_codes import (
     CnotCircuit,
-    CnotGate,
     CssCode,
     Hypermap,
     apply_cnot,
@@ -56,7 +55,7 @@ def torus_code():
 
 
 def basis_change_matrix():
-    return gf2.elementary_matrix(gf2.ElementaryFactor(1, 2, 6))
+    return gf2.elementary_matrix(1, 2, 6)
 
 
 def test_build_canonical_golden():
@@ -105,11 +104,12 @@ def test_reduced_drops_dependent_rows():
 
 def test_cnot_circuit_identity_empty():
     assert len(cnot_circuit(gf2.identity(4))) == 0
+    assert CnotCircuit([], 4).gates.shape == (0, 2)
 
 
 def test_cnot_circuit_single_gate():
     circuit = cnot_circuit(basis_change_matrix())
-    assert [(g.control, g.target) for g in circuit.gates] == [(1, 2)]
+    assert circuit.gates.tolist() == [[1, 2]]
 
 
 def test_cnot_circuit_bound():
@@ -123,36 +123,40 @@ def test_cnot_circuit_bound():
     "pairs, n, message",
     [
         pytest.param([(1, 2), (0, 2)], 3, "qubit labels are 1-based", id="label-0"),
-        pytest.param([(1, 2), (2, 4), (5, 1)], 3, "gate CnotGate(control=2, target=4) exceeds 3 qubits", id="label-above-n"),
+        pytest.param([(1, 2), (2, 4), (5, 1)], 3, "gate (2, 4) exceeds 3 qubits", id="label-above-n"),
         pytest.param([(3, 3), (0, 1)], 3, "control and target must differ", id="control-is-target"),
         pytest.param([(1, 2)] * 5, 2, "5 gates exceed the n^2 bound", id="more-than-n-squared"),
+        pytest.param([(1.9, 2.2)], 3, "gate labels must be integers, got float64", id="float-labels"),
     ],
 )
 def test_cnot_circuit_rejects_bad_gates(pairs, n, message):
-    # Each check reports the first bad gate, with the message CnotGate or the
-    # n and n^2 bounds give for it.
+    # Each check reports the first bad gate.
     with pytest.raises(ValueError) as err:
         CnotCircuit(np.array(pairs), n)
     assert str(err.value) == message
 
 
-def test_cnot_circuit_gates_built_on_demand():
-    circuit = cnot_circuit(random_invertible(random.Random(11), 8))
-    assert circuit.pairs.shape == (len(circuit), 2)
-    assert circuit.gates == tuple(CnotGate(c, t) for c, t in circuit.pairs.tolist())
-    assert cnot_circuit(gf2.identity(3)).gates == ()
+def test_cnot_circuit_gates_equal_decomposition():
+    # Factor f_ij is the CNOT with control i and target j, so the gate array
+    # is the decomposition itself.
+    rng = random.Random(11)
+    for T in (random_invertible(rng, 8), random_sparse_invertible(rng, 8, 16), gf2.identity(3)):
+        circuit = cnot_circuit(T)
+        assert circuit.gates.shape == (len(circuit), 2)
+        assert np.array_equal(circuit.gates, gf2.decompose_elementary(T))
+        assert not circuit.gates.flags.writeable
 
 
 def test_apply_cnot_matches_noncanonical_display():
     code = torus_code()
-    out = apply_cnot(code, CnotGate(1, 2))
+    out = apply_cnot(code, (1, 2))
     assert out.hx.tolist() == [[1, 0, 1, 1, 1, 1]] * 2
     assert np.array_equal(out.hz, NONCANONICAL_HZ)
 
 
 def test_apply_cnot_is_involution():
     code = torus_code()
-    gate = CnotGate(3, 5)
+    gate = (3, 5)
     back = apply_cnot(apply_cnot(code, gate), gate)
     assert np.array_equal(back.hx, code.hx)
     assert np.array_equal(back.hz, code.hz)
@@ -167,7 +171,7 @@ def test_apply_cnot_preserves_orthogonality():
             continue
         for _ in range(5):
             a, b = rng.sample(range(1, code.n + 1), 2)
-            code = apply_cnot(code, CnotGate(a, b))
+            code = apply_cnot(code, (a, b))
             assert not ((code.hx @ code.hz.T) % 2).any()
 
 
@@ -250,31 +254,27 @@ def test_transform_validates_one_code(monkeypatch):
     assert len(built) == 1
 
 
-def test_transform_builds_no_gate_or_factor_objects(monkeypatch):
-    rng = random.Random(29)
-    H = random_cycle_hypermap(rng, 13, 3)
-    code = build_canonical(H, random_special_darts(rng, H))
-    assert code.n >= 24
-    built = []
-    for cls in (CnotGate, gf2.ElementaryFactor):
-        original = cls.__post_init__
-
-        def counting_post_init(self, original=original):
-            built.append(self)
-            original(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
-    for T in (random_invertible(rng, code.n), random_sparse_invertible(rng, code.n, 3 * code.n)):
-        transform(code, T)
-        assert built == []
-        # The counter does see the objects the list views build.
-        assert len(cnot_circuit(T).gates) + len(gf2.decompose_elementary(T)) == len(built) > 0
-        built.clear()
-
-
 def test_apply_cnot_rejects_out_of_range_gate():
     with pytest.raises(ValueError, match="exceeds 6 qubits"):
-        apply_cnot(torus_code(), CnotGate(1, 7))
+        apply_cnot(torus_code(), (1, 7))
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        pytest.param((0, 2), "qubit labels are 1-based", id="label-0"),
+        pytest.param((4, 4), "control and target must differ", id="control-is-target"),
+        pytest.param((2, 7), "gate (2, 7) exceeds 6 qubits", id="target-above-n"),
+    ],
+)
+def test_apply_cnot_rejects_bad_gate_with_circuit_messages(gate, message):
+    # apply_cnot has no check of its own: the one-gate CnotCircuit raises.
+    with pytest.raises(ValueError) as err:
+        apply_cnot(torus_code(), gate)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        CnotCircuit([gate], 6)
+    assert str(err.value) == message
 
 
 def test_transform_preserves_k():

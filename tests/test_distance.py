@@ -30,7 +30,7 @@ def test_torus_canonical_distance_two():
 
 
 def test_torus_noncanonical_distance_one():
-    T = gf2.elementary_matrix(gf2.ElementaryFactor(1, 2, 6))
+    T = gf2.elementary_matrix(1, 2, 6)
     code = transform(torus_code(), T)
     assert distance_bruteforce(code) == 1
     assert distance_split(code) == (2, 1)

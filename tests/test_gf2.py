@@ -121,18 +121,20 @@ def test_invert_singular_raises():
 
 
 def test_invert_torus_basis_change():
-    T = gf2.elementary_matrix(gf2.ElementaryFactor(1, 2, 6))
+    T = gf2.elementary_matrix(1, 2, 6)
     assert np.array_equal((gf2.invert(T) @ T) % 2, gf2.identity(6))
 
 
 def test_elementary_matrix_definition():
-    assert gf2.elementary_matrix(gf2.ElementaryFactor(1, 2, 2)).tolist() == [[1, 1], [0, 1]]
-    assert gf2.elementary_matrix(gf2.ElementaryFactor(2, 1, 2)).tolist() == [[1, 0], [1, 1]]
+    assert gf2.elementary_matrix(1, 2, 2).tolist() == [[1, 1], [0, 1]]
+    assert gf2.elementary_matrix(2, 1, 2).tolist() == [[1, 0], [1, 1]]
 
 
 def test_elementary_factor_rejects_equal_indices():
-    with pytest.raises(ValueError):
-        gf2.ElementaryFactor(2, 2, 3)
+    with pytest.raises(ValueError, match="^factor source and destination must differ$"):
+        gf2.elementary_matrix(2, 2, 3)
+    with pytest.raises(ValueError, match=r"^factor indices \(1,4\) out of 1..3$"):
+        gf2.elementary_matrix(1, 4, 3)
 
 
 def test_elementary_factor_squares_to_identity():
@@ -140,17 +142,17 @@ def test_elementary_factor_squares_to_identity():
         for j in range(1, 5):
             if i == j:
                 continue
-            R = gf2.elementary_matrix(gf2.ElementaryFactor(i, j, 4))
+            R = gf2.elementary_matrix(i, j, 4)
             assert np.array_equal((R @ R) % 2, gf2.identity(4))
 
 
 def test_decompose_identity_is_empty():
-    assert gf2.decompose_elementary(gf2.identity(5)) == []
+    assert gf2.decompose_elementary(gf2.identity(5)).shape == (0, 2)
 
 
 def test_decompose_single_factor():
     factors = gf2.decompose_elementary(np.array([[1, 1], [0, 1]], dtype=np.uint8))
-    assert factors == [gf2.ElementaryFactor(1, 2, 2)]
+    assert factors.tolist() == [[1, 2]]
 
 
 def test_decompose_swap_needs_three_factors():
@@ -184,35 +186,24 @@ def test_decompose_random_products():
         assert np.array_equal(gf2.multiply_factors(reversed(factors), n), gf2.invert(T))
 
 
-def test_decompose_matches_scalar_reference():
-    # Row-wise clearing must give the same factors, in the same order, as
-    # clearing one entry at a time.
-    rng = random.Random(41)
-    repaired = 0
-    for n in range(2, 41):
-        for T in (random_invertible(rng, n), random_sparse_invertible(rng, n, 2 * n)):
-            repaired += int(T[0, 0] == 0)
-            assert gf2.decompose_elementary(T) == reference_decompose_elementary(T)
-    assert repaired >= 20  # a zero at (1, 1) always takes a repair factor
-
-
 def test_elementary_pairs_match_scalar_reference():
-    # The index-array core against the scalar reference's (i, j) list, on
-    # dense, sparse and column-permuted matrices with n = 1-64.
+    # Row-wise clearing must give the same (i, j) factors, in the same
+    # order, as clearing one entry at a time: dense, column-permuted and
+    # sparse matrices (3n and 2n entries) with n = 1-64.
     rng = random.Random(47)
     repaired = 0
     for n in range(1, 65):
         order = list(range(n))
         rng.shuffle(order)
         dense = random_invertible(rng, n)
-        sparse = [random_sparse_invertible(rng, n, 3 * n)] if n > 1 else []
+        sparse = [random_sparse_invertible(rng, n, k * n) for k in (3, 2)] if n > 1 else []
         for T in [dense, dense[:, order], *sparse]:
             repaired += int(T[0, 0] == 0)
-            pairs = gf2._elementary_pairs(T)
+            pairs = gf2.decompose_elementary(T)
             assert pairs.shape == (len(pairs), 2)
-            assert pairs.tolist() == [[f.i, f.j] for f in reference_decompose_elementary(T)]
-    assert repaired >= 10
-    assert gf2._elementary_pairs(gf2.identity(7)).shape == (0, 2)
+            assert list(map(tuple, pairs.tolist())) == reference_decompose_elementary(T)
+    assert repaired >= 20  # a zero at (1, 1) always takes a repair factor
+    assert gf2.decompose_elementary(gf2.identity(7)).shape == (0, 2)
 
 
 def test_decompose_singular_message_matches_reference():

@@ -161,14 +161,23 @@ def test_same_row_space_matches_reference(A, seed, perturb):
 
 
 @SETTINGS
-@given(matrices(), matrices())
-def test_packed_sector_matches_reference(stab, excl):
+@given(matrices(), matrices(), st.integers(0, 2**32 - 1))
+def test_packed_sector_matches_reference(stab, excl, seed):
     if stab.shape[1] != excl.shape[1]:
         excl = excl[:, : stab.shape[1]] if excl.shape[1] > stab.shape[1] else stab[::-1]
-    cols, reducer, dim = distance._packed_sector(stab, excl)
+    cols, (basis, mask), dim = distance._packed_sector(stab, excl)
     R, pivots = reference_row_echelon(stab)
     assert dim == stab.shape[1] - len(pivots)
     assert cols == [sum(int(b) << r for r, b in enumerate(R[: len(pivots), j])) for j in range(stab.shape[1])]
-    E, epivots = reference_row_echelon(excl)
-    assert reducer == [(p, sum(int(b) << j for j, b in enumerate(E[r]))) for r, p in enumerate(epivots)]
-
+    # The reducer is 0 exactly on the excluded row space.
+    rank = len(reference_row_echelon(excl)[1])
+    assert mask.bit_count() == rank
+    assert not any(gf2._reduce(v, basis, mask) for v in gf2._pack_rows(excl))
+    # Random combinations of the rows, one entry flipped half of the time.
+    rng = np.random.default_rng(seed)
+    V = gf2.mul(rng.integers(0, 2, (8, excl.shape[0]), dtype=np.uint8), excl)
+    if V.size:
+        V[::2, rng.integers(V.shape[1])] ^= 1
+    for v, packed in zip(V, gf2._pack_rows(V)):
+        in_span = len(reference_row_echelon(np.vstack([excl, v]))[1]) == rank
+        assert (gf2._reduce(packed, basis, mask) == 0) == in_span

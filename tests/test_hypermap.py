@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from hypermap_codes import (
@@ -40,6 +41,33 @@ def test_permutation_rejects_repeated_image():
 def test_cycles_reject_repeated_label():
     with pytest.raises(NotBijectiveError):
         Permutation.from_cycles([[1, 2], [2, 3]], 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: Permutation((1.9, 2.2)), id="float-image"),
+        pytest.param(lambda: Permutation(("2", "1")), id="str-image"),
+        pytest.param(lambda: Permutation.from_cycles([[1.0, 2.0]], 2), id="float-cycle"),
+        pytest.param(lambda: SpecialDartSet((1.0, 5)), id="float-special"),
+        pytest.param(
+            lambda: choose_special_darts(torus_hypermap()[0], preferred=[3.9, 7.1]), id="float-preferred"
+        ),
+    ],
+)
+def test_labels_are_not_coerced(build):
+    # int() would truncate 1.9 or parse "2"; labels must be integers already.
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_numpy_integer_labels_are_accepted():
+    H, _ = torus_hypermap()
+    p = Permutation(tuple(np.array([2, 3, 1])))
+    assert p.image == (2, 3, 1) and {type(x) for x in p.image} == {int}
+    assert Permutation.from_cycles([np.array([1, 2, 3])], 3) == p
+    S = choose_special_darts(H, preferred=np.array([3, 7]))
+    assert S.darts == (3, 7) and {type(x) for x in S.darts} == {int}
 
 
 def test_face_permutation_of_torus():

@@ -92,6 +92,30 @@ def test_surface_graph_rejects_duplicate_labels():
         SurfaceGraph(2, ((1, 2, 1), (1, 2, 1)), ())
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: SurfaceGraph(1, ((1, 1, 1.5),), ()), id="float-edge-label"),
+        pytest.param(
+            lambda: SurfaceGraph(1, ((1, 1, 1),), (frozenset({1.0}), frozenset({1}))), id="float-face-label"
+        ),
+        pytest.param(lambda: RotationGraph(1, ((1, 1.0),), ((1, 2),)), id="float-endpoint"),
+        pytest.param(lambda: RotationGraph(1, ((1, 1),), ((1, 2.0),)), id="float-edge-end"),
+        pytest.param(lambda: SurfaceGraph(1.5, ((1, 1, 1),), ()), id="float-surface-vertex-count"),
+        pytest.param(lambda: RotationGraph(1.0, ((1, 1),), ((1, 2),)), id="float-rotation-vertex-count"),
+    ],
+)
+def test_graph_labels_are_not_coerced(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_graph_numpy_integer_labels_are_accepted():
+    G = RotationGraph(np.int64(1), tuple(np.array([[1, 1]])), tuple(np.array([[1, 2]])))
+    assert G.edges == ((1, 1),) and G.rotation == ((1, 2),)
+    assert {type(x) for x in (G.vertex_count, *G.edges[0], *G.rotation[0])} == {int}
+
+
 def test_intermediate_surface_keeps_all_darts():
     H, S = torus_hypermap()
     G = intermediate_surface(H, S)

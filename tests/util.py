@@ -112,7 +112,8 @@ def reference_decompose_elementary(T):
     The scalar reference for :func:`gf2.decompose_elementary`: rows in
     ascending order, a zero diagonal entry repaired with the smallest column
     to its right holding a 1, then one column addition per remaining 1 in
-    the row, in ascending column order.
+    the row, in ascending column order.  Returns the list of 1-based
+    ``(i, j)`` tuples.
     """
     M = gf2.as_matrix(T).copy()
     n = M.shape[0]
@@ -127,11 +128,11 @@ def reference_decompose_elementary(T):
                 raise gf2.SingularMatrixError(f"matrix is singular at row {i + 1}")
             j = i + 1 + int(hits[0])
             M[:, i] ^= M[:, j]
-            applied.append(gf2.ElementaryFactor(j + 1, i + 1, n))
+            applied.append((j + 1, i + 1))
         for j in range(n):
             if j != i and M[i, j]:
                 M[:, j] ^= M[:, i]
-                applied.append(gf2.ElementaryFactor(i + 1, j + 1, n))
+                applied.append((i + 1, j + 1))
     assert np.array_equal(M, gf2.identity(n))
     return applied[::-1]
 
