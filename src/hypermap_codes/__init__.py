@@ -47,7 +47,6 @@ from .hypermap import (
     NotConnectedError,
     OrbitPartition,
     Permutation,
-    SpecialDartSet,
     choose_special_darts,
     hypermap_from_json,
     hypermap_to_json,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .hypermap import Hypermap, SpecialDartSet, check_special_darts
+from .hypermap import Hypermap, check_special_darts
 
 
 def face_dart_sum(H: Hypermap, face: int) -> np.ndarray:
@@ -71,13 +71,13 @@ def hyperedge_dart_sum(H: Hypermap, edge: int) -> np.ndarray:
     return out
 
 
-def nonspecial_darts(H: Hypermap, S: SpecialDartSet) -> tuple[int, ...]:
+def nonspecial_darts(H: Hypermap, S: tuple[int, ...]) -> tuple[int, ...]:
     """All darts not in ``S``, ascending; the special coordinate basis."""
-    special = set(S.darts)
+    special = set(S)
     return tuple(d for d in range(1, H.n_darts + 1) if d not in special)
 
 
-def project_nonspecial(H: Hypermap, S: SpecialDartSet, x) -> np.ndarray:
+def project_nonspecial(H: Hypermap, S: tuple[int, ...], x) -> np.ndarray:
     """Express a dart sum over the nonspecial basis.
 
     Each special dart in ``x`` is replaced by the sum of the other darts of
@@ -90,7 +90,7 @@ def project_nonspecial(H: Hypermap, S: SpecialDartSet, x) -> np.ndarray:
     edges = H.hyperedges()
     basis = nonspecial_darts(H, S)
     position = {d: k for k, d in enumerate(basis)}
-    special = set(S.darts)
+    special = set(S)
     out = np.zeros(len(basis), dtype=np.uint8)
     for d in range(1, H.n_darts + 1):
         if not x[d - 1]:
@@ -137,19 +137,19 @@ def _toggle_columns(rows: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return M
 
 
-def boundary_pair(H: Hypermap, S: SpecialDartSet) -> CssCode:
+def boundary_pair(H: Hypermap, S: tuple[int, ...]) -> CssCode:
     """The canonical code: both boundary matrices in the special basis defined by ``S``.
 
     ``hx`` is the vertex boundary ``p1`` and ``hz`` the face boundary
     ``p2``; columns follow :func:`nonspecial_darts`.
     """
-    check_special_darts(H, S)
+    S = check_special_darts(H, S)
     vertices, edges, faces = H.vertices(), H.hyperedges(), H.faces()
     vertex = np.array(vertices.labels)
     edge = np.array(edges.labels)
     face = np.array(faces.labels)
     tau_inv = np.array(H.tau.inverse().image) - 1
-    special = np.array(S.darts) - 1
+    special = np.array(S) - 1
     special_of_edge = np.empty(len(edges), dtype=np.intp)
     special_of_edge[edge[special]] = special
     is_special = np.zeros(H.n_darts, dtype=bool)

@@ -14,7 +14,7 @@ import sys
 
 from . import css, gf2, surface
 from .distance import distance_split
-from .hypermap import Hypermap, SpecialDartSet, choose_special_darts, load_hypermap, save_hypermap
+from .hypermap import Hypermap, choose_special_darts, load_hypermap, save_hypermap
 
 
 def _parse_dart_list(text: str) -> list[int]:
@@ -25,7 +25,7 @@ def _parse_dart_list(text: str) -> list[int]:
     return [int(tok) for tok in tokens if tok]
 
 
-def _load_hypermap_and_special(path, special_flag) -> tuple[Hypermap, SpecialDartSet]:
+def _load_hypermap_and_special(path, special_flag) -> tuple[Hypermap, tuple[int, ...]]:
     H, special = load_hypermap(path)
     if special_flag is not None:
         special = choose_special_darts(H, preferred=_parse_dart_list(special_flag))
@@ -39,12 +39,10 @@ def _format_darts(darts) -> str:
 
 
 def cmd_info(args) -> int:
-    H, special = load_hypermap(args.hypermap)
+    H, special = _load_hypermap_and_special(args.hypermap, None)
     v, e, f, w = H.counts()
     print(f"V={v} E={e} F={f} W={w} genus={H.genus()}")
-    if special is None:
-        special = choose_special_darts(H)
-    print(f"special={_format_darts(special.darts)}")
+    print(f"special={_format_darts(special)}")
     return 0
 
 
@@ -75,7 +73,7 @@ def cmd_build(args) -> int:
 def cmd_to_surface(args) -> int:
     H, special = _load_hypermap_and_special(args.hypermap, args.special)
     if args.special is None:
-        print(f"special={_format_darts(special.darts)}")
+        print(f"special={_format_darts(special)}")
     G = surface.hypermap_to_surface(H, special)
     print(f"vertices={G.vertex_count} edges={len(G.edges)} faces={len(G.faces)}")
     surface.save_surface_graph(args.out_graph, G)
@@ -85,7 +83,7 @@ def cmd_to_surface(args) -> int:
             fh.write(surface.surface_graph_dot(G))
         print(f"wrote={args.dot}")
     if args.intermediate_dot:
-        inter = surface.intermediate_surface(H, special)
+        inter = surface.intermediate_surface(H)
         with open(args.intermediate_dot, "w") as fh:
             fh.write(surface.surface_graph_dot(inter))
         print(f"wrote={args.intermediate_dot}")
@@ -97,7 +95,7 @@ def cmd_from_graph(args) -> int:
     H, special = surface.graph_to_hypermap(G)
     v, e, f, w = H.counts()
     print(f"V={v} E={e} F={f} W={w} genus={H.genus()}")
-    print(f"special={_format_darts(special.darts)}")
+    print(f"special={_format_darts(special)}")
     save_hypermap(args.out, H, special)
     print(f"wrote={args.out}")
     return 0
@@ -119,8 +117,9 @@ def cmd_verify(args) -> int:
 def _print_row_space_diff(a: css.CssCode, b: css.CssCode) -> None:
     for sector, ma, mb in (("Hx", a.hx, b.hx), ("Hz", a.hz, b.hz)):
         for name, src, other in (("hypermap", ma, mb), ("surface", mb, ma)):
-            for row in src:
-                if not gf2.row_space_contains(other, row):
+            basis, mask = gf2._forward(gf2._pack_rows(other))
+            for row, packed in zip(src, gf2._pack_rows(src)):
+                if gf2._reduce(packed, basis, mask):
                     bits = " ".join(map(str, row))
                     print(f"diff {sector} {name}-only-row: {bits}")
 

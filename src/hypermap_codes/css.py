@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gf2
 from .chain import CssCode, apply_basis_change, boundary_pair
-from .hypermap import Hypermap, SpecialDartSet, choose_special_darts
+from .hypermap import Hypermap, choose_special_darts
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class CnotCircuit:
         return len(self.gates)
 
 
-def build_canonical(H: Hypermap, S: SpecialDartSet | None = None) -> CssCode:
+def build_canonical(H: Hypermap, S: tuple[int, ...] | None = None) -> CssCode:
     """Canonical code of a hypermap: qubits on nonspecial darts.
 
     With ``S`` omitted the default special darts (smallest per hyperedge)
@@ -181,7 +181,7 @@ def stabilizer_equal(a: CssCode, b: CssCode) -> bool:
     return _same_row_space(a.hx, b.hx) and _same_row_space(a.hz, b.hz)
 
 
-def code_from_boundary_change(H: Hypermap, S: SpecialDartSet, T) -> CssCode:
+def code_from_boundary_change(H: Hypermap, S: tuple[int, ...], T) -> CssCode:
     """Noncanonical code via the boundary-pair route (independent of CNOTs)."""
     return apply_basis_change(boundary_pair(H, S), T)
 

@@ -6,12 +6,13 @@ the mirror image; inputs are guarded at ``n <= 24`` qubits.
 
 Each sector runs one exact search that switches strategy by cost.  It first
 scans Hamming weights in ascending order (every ``w``-subset of the packed
-columns, stopping at the first weight class holding a logical operator) for
-as long as the cumulative candidate count ``C(n, 1) + ... + C(n, w)`` stays
-at or below ``2^dim ker(H)``.  Past that weight it enumerates all of
-``ker(H)`` in numpy instead: an XOR table over the low kernel basis vectors
-is XORed with each combination of the high ones, chunk by chunk, and the
-minimum popcount is taken over the vectors outside the excluded row space.
+check columns, stopping at the first weight class holding a logical operator)
+for as long as the cumulative candidate count ``C(n, 1) + ... + C(n, w)``
+stays at or below ``2^dim ker(H)``.  Past that weight it enumerates all of
+``ker(H)`` in numpy instead, from the basis of one elimination over the
+columns: an XOR table over the low basis vectors is XORed with each
+combination of the high ones, chunk by chunk, and the minimum popcount is
+taken over the vectors outside the excluded row space.
 Both strategies are exact, so the rule decides speed only: shallow codes
 stop in the weight loop, deep ones (the ``[[23,1,7]]`` Golay code switches
 after ``w = 3``) pay ``2^dim ker(H)`` vectorised steps.
@@ -47,17 +48,27 @@ class NoLogicalOperatorError(ValueError):
 def _packed_sector(stab, excl):
     """``(cols, reducer, dim)`` for one sector.
 
-    ``cols[j]`` packs column ``j`` of the row-reduced check matrix, so a
-    set of columns XORs to 0 exactly when its indicator vector is in
-    ``ker(H)``; ``reducer`` is the echelon basis ``(basis, mask)`` of the
-    excluded row space for ``gf2._reduce``, which maps a vector to the one
-    member of its coset with no pivot bit: the map is linear, and 0 exactly
-    on the row space.  ``dim`` is ``dim ker(H)``.
+    ``cols[j]`` packs column ``j`` of the check matrix, so a set of columns
+    XORs to 0 exactly when its indicator vector is in ``ker(H)``;
+    ``reducer`` is the echelon basis ``(basis, mask)`` of the excluded row
+    space for ``gf2._reduce``, which maps a vector to the one member of its
+    coset with no pivot bit: the map is linear, and 0 exactly on the row
+    space.  ``dim`` is ``dim ker(H)``.
     """
-    n = stab.shape[1]
-    R, pivots = gf2.row_echelon(stab)
-    cols = gf2._pack_rows(R[: len(pivots)].T)
-    return cols, gf2._forward(gf2._pack_rows(excl)), n - len(pivots)
+    cols = gf2._pack_rows(stab.T)
+    return cols, gf2._forward(gf2._pack_rows(excl)), stab.shape[1] - gf2.rank(stab)
+
+
+def _kernel_vectors(cols, rows: int) -> list[int]:
+    """A packed basis of ``ker(H)`` from the packed columns of ``H`` (``rows`` bits each).
+
+    Column ``j`` is tagged with bit ``rows + j`` and the tagged columns are
+    eliminated once.  An echelon row with its pivot in the tag bits is a
+    column combination that XORs to 0, named by its tag; there are
+    ``n - rank(H)`` of them, independent since their pivots differ.
+    """
+    basis, _ = gf2._forward([c | 1 << (rows + j) for j, c in enumerate(cols)])
+    return [v >> rows for p, v in basis.items() if p >= rows]
 
 
 def _weight_search(cols, reducer, max_weight: int) -> int:
@@ -86,15 +97,14 @@ def _span(vectors) -> np.ndarray:
     return table
 
 
-def _kernel_search(basis, reducer) -> int:
+def _kernel_search(vectors, reducer) -> int:
     """Minimum logical weight over all of ``ker(H)``, or 0 if there is none.
 
-    ``basis`` is a kernel basis, one 0/1 row per vector of at most 64
-    columns.  Since the reduction is linear, each basis vector is reduced
-    once and the images are combined alongside the vectors: a combination
-    lies outside the excluded row space exactly when its image is nonzero.
+    ``vectors`` is a kernel basis packed into ints of at most 64 bits.
+    Since the reduction is linear, each basis vector is reduced once and the
+    images are combined alongside the vectors: a combination lies outside
+    the excluded row space exactly when its image is nonzero.
     """
-    vectors = gf2._pack_rows(basis)
     images = [gf2._reduce(v, *reducer) for v in vectors]
     low = min(len(vectors), TABLE_BITS)
     table, table_images = _span(vectors[:low]), _span(images[:low])
@@ -122,7 +132,8 @@ def _sector_min_weight(stab, excl) -> int:
     while depth < n and spent + math.comb(n, depth + 1) <= budget:
         depth += 1
         spent += math.comb(n, depth)
-    return _weight_search(cols, reducer, depth) or _kernel_search(gf2.kernel_basis(stab), reducer)
+    found = _weight_search(cols, reducer, depth)
+    return found or _kernel_search(_kernel_vectors(cols, len(stab)), reducer)
 
 
 # `jobbench/tracing.py` times the per-sector search under this name, so

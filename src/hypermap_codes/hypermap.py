@@ -10,7 +10,9 @@ labels themselves are always 1-based.
 
 Construction validates everything: permutations must be bijections and the
 group generated by ``sigma`` and ``tau`` must act transitively on the darts
-(a connected hypermap).  Invalid data cannot be represented.
+(a connected hypermap; one walk from dart 1 checks it).  Invalid data cannot
+be represented.  A special-dart choice, one dart per hyperedge, is a plain
+tuple of labels, checked by :func:`check_special_darts`.
 
 Both classes are frozen, so derived structure is computed at most once per
 object, on first use: a :class:`Permutation` keeps its orbit partition and
@@ -169,25 +171,6 @@ class OrbitPartition:
 
 
 @dataclass(frozen=True)
-class SpecialDartSet:
-    """One designated dart per hyperedge, listed in hyperedge order."""
-
-    darts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "darts", tuple(map(index, self.darts)))
-
-    def __iter__(self):
-        return iter(self.darts)
-
-    def __len__(self) -> int:
-        return len(self.darts)
-
-    def __contains__(self, dart: int) -> bool:
-        return dart in self.darts
-
-
-@dataclass(frozen=True)
 class Hypermap:
     sigma: Permutation
     tau: Permutation
@@ -200,25 +183,22 @@ class Hypermap:
         n = self.sigma.n
         if n == 0:
             raise NotConnectedError("a hypermap needs at least one dart")
-        # Union-find over the generator images checks transitivity; both
-        # image tuples are already known to be bijections on 1..n.
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for d, images in enumerate(zip(self.sigma.image, self.tau.image)):
-            for image in images:
-                a, b = find(d), find(image - 1)
-                if a != b:
-                    parent[a] = b
-        roots = {find(x) for x in range(n)}
-        if len(roots) != 1:
+        # Every dart reachable from dart 1 by the forward images of sigma and
+        # tau; for permutations of a finite set that is the whole orbit.
+        sigma, tau = self.sigma.image, self.tau.image
+        seen = [False] * (n + 1)
+        seen[1] = True
+        stack = [1]
+        while stack:
+            d = stack.pop() - 1
+            for e in (sigma[d], tau[d]):
+                if not seen[e]:
+                    seen[e] = True
+                    stack.append(e)
+        reached = seen.count(True)
+        if reached != n:
             raise NotConnectedError(
-                f"darts split into {len(roots)} components under sigma and tau"
+                f"only {reached} of {n} darts are reachable from dart 1 under sigma and tau"
             )
 
     @classmethod
@@ -276,23 +256,11 @@ class Hypermap:
             raise NonIntegerGenusError(f"Euler characteristic {chi} gives genus {g} < 0")
         return g
 
-    def incident_vertex(self, dart: int) -> int:
-        """0-based index of the vertex orbit on which ``dart`` is incident."""
-        if not 1 <= dart <= self.n_darts:
-            raise ValueError(f"dart {dart} out of range 1..{self.n_darts}")
-        return self.vertices().orbit_index(dart)
-
-    def incident_edge(self, dart: int) -> int:
-        """0-based index of the hyperedge orbit on which ``dart`` is incident."""
-        if not 1 <= dart <= self.n_darts:
-            raise ValueError(f"dart {dart} out of range 1..{self.n_darts}")
-        return self.hyperedges().orbit_index(dart)
-
 
 def _claim_hyperedges(edges: OrbitPartition, n: int, darts) -> dict[int, int]:
-    """``{hyperedge: dart}`` for ``darts`` in ``1..n``, rejecting two darts on one hyperedge."""
+    """``{hyperedge: dart}`` for int ``darts`` in ``1..n``, rejecting two darts on one hyperedge."""
     claimed: dict[int, int] = {}
-    for d in map(index, darts):
+    for d in darts:
         if not 1 <= d <= n:
             raise ValueError(f"special dart {d} out of range 1..{n}")
         k = edges.orbit_index(d)
@@ -304,16 +272,22 @@ def _claim_hyperedges(edges: OrbitPartition, n: int, darts) -> dict[int, int]:
     return claimed
 
 
-def check_special_darts(H: Hypermap, S: SpecialDartSet) -> None:
-    """Require exactly one dart of ``S`` on every hyperedge of ``H``."""
+def check_special_darts(H: Hypermap, S) -> tuple[int, ...]:
+    """Require exactly one dart of ``S`` on every hyperedge of ``H``.
+
+    Returns ``S`` as a tuple of ``int`` in the given order; labels go
+    through :func:`operator.index`, so floats and strings raise ``TypeError``.
+    """
+    S = tuple(map(index, S))
     edges = H.hyperedges()
-    if len(S.darts) != len(edges):
-        raise ValueError(f"{len(S.darts)} special darts for {len(edges)} hyperedges")
-    _claim_hyperedges(edges, H.n_darts, S.darts)
+    if len(S) != len(edges):
+        raise ValueError(f"{len(S)} special darts for {len(edges)} hyperedges")
+    _claim_hyperedges(edges, H.n_darts, S)
+    return S
 
 
-def choose_special_darts(H: Hypermap, preferred=None) -> SpecialDartSet:
-    """Pick one special dart per hyperedge.
+def choose_special_darts(H: Hypermap, preferred=None) -> tuple[int, ...]:
+    """Pick one special dart per hyperedge, listed in hyperedge order.
 
     The default is the smallest dart of each hyperedge orbit; ``preferred``
     darts override the default in their own orbits.  Two preferred darts on
@@ -322,15 +296,15 @@ def choose_special_darts(H: Hypermap, preferred=None) -> SpecialDartSet:
     edges = H.hyperedges()
     chosen = [orbit[0] for orbit in edges.orbits]
     if preferred is not None:
-        for k, d in _claim_hyperedges(edges, H.n_darts, preferred).items():
+        for k, d in _claim_hyperedges(edges, H.n_darts, map(index, preferred)).items():
             chosen[k] = d
-    return SpecialDartSet(tuple(chosen))
+    return tuple(chosen)
 
 
 # --- JSON file format ----------------------------------------------------------
 
 
-def hypermap_to_json(H: Hypermap, special: SpecialDartSet | None = None) -> dict:
+def hypermap_to_json(H: Hypermap, special: tuple[int, ...] | None = None) -> dict:
     """JSON object for a hypermap; singleton cycles are omitted."""
     data = {
         "darts": H.n_darts,
@@ -338,7 +312,7 @@ def hypermap_to_json(H: Hypermap, special: SpecialDartSet | None = None) -> dict
         "tau": [list(orb) for orb in H.tau.orbits().orbits if len(orb) > 1],
     }
     if special is not None:
-        data["special"] = list(special.darts)
+        data["special"] = list(special)
     return data
 
 
@@ -361,16 +335,20 @@ def _json_cycles(value, key: str) -> list[list[int]]:
     return [_json_labels(cycle, key) for cycle in value]
 
 
-def hypermap_from_json(data: dict) -> tuple[Hypermap, SpecialDartSet | None]:
-    """Parse the JSON object; every label must be an exact integer."""
+def _json_fields(data, kind: str, label_key: str, *list_keys: str) -> list:
+    """``[label, *cycle lists]`` of the JSON object ``data`` of a ``kind``, read in key order."""
     if not isinstance(data, dict):
-        raise ValueError("hypermap JSON must be an object")
+        raise ValueError(f"{kind} JSON must be an object")
     try:
-        n = _json_label(data["darts"], "darts")
-        sigma_cycles = _json_cycles(data["sigma"], "sigma")
-        tau_cycles = _json_cycles(data["tau"], "tau")
+        label = _json_label(data[label_key], label_key)
+        return [label, *(_json_cycles(data[key], key) for key in list_keys)]
     except KeyError as missing:
-        raise ValueError(f"hypermap JSON missing key {missing}") from None
+        raise ValueError(f"{kind} JSON missing key {missing}") from None
+
+
+def hypermap_from_json(data: dict) -> tuple[Hypermap, tuple[int, ...] | None]:
+    """Parse the JSON object; every label must be an exact integer."""
+    n, sigma_cycles, tau_cycles = _json_fields(data, "hypermap", "darts", "sigma", "tau")
     H = Hypermap.from_cycles(n, sigma_cycles, tau_cycles)
     special = None
     if data.get("special") is not None:
@@ -378,9 +356,9 @@ def hypermap_from_json(data: dict) -> tuple[Hypermap, SpecialDartSet | None]:
     return H, special
 
 
-def load_hypermap(path) -> tuple[Hypermap, SpecialDartSet | None]:
+def load_hypermap(path) -> tuple[Hypermap, tuple[int, ...] | None]:
     return hypermap_from_json(json.loads(Path(path).read_text()))
 
 
-def save_hypermap(path, H: Hypermap, special: SpecialDartSet | None = None) -> None:
+def save_hypermap(path, H: Hypermap, special: tuple[int, ...] | None = None) -> None:
     Path(path).write_text(compact_json(hypermap_to_json(H, special)))

@@ -33,15 +33,7 @@ import numpy as np
 from ._jsonfmt import compact_json
 from .chain import boundary_pair, nonspecial_darts
 from .css import CodeParams, CssCode, params, stabilizer_equal
-from .hypermap import (
-    Hypermap,
-    NotConnectedError,
-    Permutation,
-    SpecialDartSet,
-    _json_cycles,
-    _json_label,
-    choose_special_darts,
-)
+from .hypermap import Hypermap, NotConnectedError, Permutation, _json_fields, choose_special_darts
 
 
 @dataclass(frozen=True)
@@ -184,7 +176,7 @@ def surface_code(G: SurfaceGraph) -> CssCode:
     return CssCode(hx, hz)
 
 
-def hypermap_to_surface(H: Hypermap, S: SpecialDartSet | None = None) -> SurfaceGraph:
+def hypermap_to_surface(H: Hypermap, S: tuple[int, ...] | None = None) -> SurfaceGraph:
     """Equivalent surface graph of a canonical hypermap code.
 
     Vertices are the hypermap's vertex orbits; every nonspecial dart ``d``
@@ -197,7 +189,7 @@ def hypermap_to_surface(H: Hypermap, S: SpecialDartSet | None = None) -> Surface
     return _surface_from_code(H, S, boundary_pair(H, S))
 
 
-def _surface_from_code(H: Hypermap, S: SpecialDartSet, code: CssCode) -> SurfaceGraph:
+def _surface_from_code(H: Hypermap, S: tuple[int, ...], code: CssCode) -> SurfaceGraph:
     """Surface graph read off the canonical code ``boundary_pair(H, S)``.
 
     Column ``k`` of the code is the ``k``-th dart of :func:`nonspecial_darts`,
@@ -216,26 +208,24 @@ def _surface_from_code(H: Hypermap, S: SpecialDartSet, code: CssCode) -> Surface
     return SurfaceGraph(len(H.vertices()), edges, faces)
 
 
-def intermediate_surface(H: Hypermap, S: SpecialDartSet | None = None) -> SurfaceGraph:
+def intermediate_surface(H: Hypermap) -> SurfaceGraph:
     """Pre-merge stage of the conversion, for inspection and DOT export.
 
-    Every dart (special ones included) is still an edge, and every hyperedge
-    contributes an extra face bounded by its darts; deleting the special
-    edges and merging across them yields :func:`hypermap_to_surface`.
+    Every dart is still an edge and every hyperedge adds a face bounded by
+    its darts, whatever the special darts; deleting the special edges of a
+    choice and merging across them yields :func:`hypermap_to_surface`.
     """
-    if S is None:
-        S = choose_special_darts(H)
-    tau_inv = H.tau.inverse()
+    vertex = H.vertices().labels
+    tau_inv = H.tau.inverse().image
     edges = tuple(
-        (H.incident_vertex(d) + 1, H.incident_vertex(tau_inv(d)) + 1, d)
-        for d in range(1, H.n_darts + 1)
+        (vertex[d - 1] + 1, vertex[tau_inv[d - 1] - 1] + 1, d) for d in range(1, H.n_darts + 1)
     )
     faces = [frozenset(orbit) for orbit in H.faces().orbits]
     faces += [frozenset(orbit) for orbit in H.hyperedges().orbits]
     return SurfaceGraph(len(H.vertices()), edges, tuple(faces))
 
 
-def graph_to_hypermap(G: RotationGraph) -> tuple[Hypermap, SpecialDartSet]:
+def graph_to_hypermap(G: RotationGraph) -> tuple[Hypermap, tuple[int, ...]]:
     """Reinterpret an embedded graph as a hypermap with 2-dart hyperedges.
 
     Edge-ends become darts; the end-swap involution is the hyperedge
@@ -263,7 +253,7 @@ class EquivalenceReport:
     surface_params: CodeParams
 
 
-def verify_equivalence(H: Hypermap, S: SpecialDartSet | None = None) -> EquivalenceReport:
+def verify_equivalence(H: Hypermap, S: tuple[int, ...] | None = None) -> EquivalenceReport:
     """Build the canonical code and its surface code and compare stabilizers.
 
     The canonical code is the boundary pair ``(p1, p2)``, built and checked
@@ -354,14 +344,7 @@ def surface_graph_to_json(G: SurfaceGraph) -> dict:
 
 
 def surface_graph_from_json(data: dict) -> SurfaceGraph:
-    if not isinstance(data, dict):
-        raise ValueError("surface graph JSON must be an object")
-    try:
-        vertices = _json_label(data["vertices"], "vertices")
-        edges = _json_cycles(data["edges"], "edges")
-        faces = _json_cycles(data["faces"], "faces")
-    except KeyError as missing:
-        raise ValueError(f"surface graph JSON missing key {missing}") from None
+    vertices, edges, faces = _json_fields(data, "surface graph", "vertices", "edges", "faces")
     if any(len(edge) != 3 for edge in edges):
         raise ValueError("surface graph JSON 'edges' must hold [a, b, label] triples")
     return SurfaceGraph(vertices, tuple(map(tuple, edges)), tuple(map(frozenset, faces)))
@@ -376,14 +359,7 @@ def rotation_graph_to_json(G: RotationGraph) -> dict:
 
 
 def rotation_graph_from_json(data: dict) -> RotationGraph:
-    if not isinstance(data, dict):
-        raise ValueError("rotation graph JSON must be an object")
-    try:
-        vertices = _json_label(data["vertices"], "vertices")
-        edges = _json_cycles(data["edges"], "edges")
-        rotation = _json_cycles(data["rotation"], "rotation")
-    except KeyError as missing:
-        raise ValueError(f"rotation graph JSON missing key {missing}") from None
+    vertices, edges, rotation = _json_fields(data, "rotation graph", "vertices", "edges", "rotation")
     if any(len(edge) != 2 for edge in edges):
         raise ValueError("rotation graph JSON 'edges' must hold [a, b] pairs")
     return RotationGraph(vertices, tuple(map(tuple, edges)), tuple(map(tuple, rotation)))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypermap_codes import gf2
+from hypermap_codes import build_canonical, cli, gf2, load_hypermap, transform
 from hypermap_codes.cli import main
 from util import FIXTURES
 
@@ -252,6 +252,20 @@ def test_distance_guard_exit_2(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+# The canonical torus code (special darts 3, 7) against its basis change.
+COMPARE_LINES = [
+    "equal=false",
+    "diff Hx hypermap-only-row: 1 1 1 1 1 1",
+    "diff Hx hypermap-only-row: 1 1 1 1 1 1",
+    "diff Hx surface-only-row: 1 0 1 1 1 1",
+    "diff Hx surface-only-row: 1 0 1 1 1 1",
+    "diff Hz hypermap-only-row: 0 1 0 0 0 1",
+    "diff Hz hypermap-only-row: 1 1 1 1 0 0",
+    "diff Hz surface-only-row: 1 1 0 0 0 1",
+    "diff Hz surface-only-row: 0 1 1 1 0 0",
+]
+
+
 def test_compare_equal_and_unequal(tmp_path, capsys):
     canonical = tmp_path / "canonical.txt"
     noncanonical = tmp_path / "noncanonical.txt"
@@ -263,6 +277,14 @@ def test_compare_equal_and_unequal(tmp_path, capsys):
     assert main(["compare", str(canonical), str(reduced_file)]) == 0
     assert "equal=true" in capsys.readouterr().out
     assert main(["compare", str(canonical), str(noncanonical)]) == 1
-    out = capsys.readouterr().out
-    assert "equal=false" in out
-    assert "diff" in out
+    assert capsys.readouterr() == ("\n".join(COMPARE_LINES) + "\n", "")
+
+
+def test_row_space_diff_eliminates_each_side_once(monkeypatch, capsys):
+    a = build_canonical(*load_hypermap(TORUS))
+    b = transform(a, gf2.read_matrix(TORUS_T))
+    forward, calls = gf2._forward, []
+    monkeypatch.setattr(gf2, "_forward", lambda rows: calls.append(rows) or forward(rows))
+    cli._print_row_space_diff(a, b)
+    assert capsys.readouterr().out.splitlines() == COMPARE_LINES[1:]
+    assert len(calls) <= 4

@@ -15,7 +15,7 @@ from hypermap_codes import (
     transform,
 )
 from hypermap_codes import distance, gf2
-from util import golay_css, random_css_code, torus_hypermap
+from util import golay_css, random_css_code, reference_row_echelon, torus_hypermap
 
 
 def torus_code():
@@ -97,7 +97,7 @@ def forced_split(code, strategy):
         if strategy == "weight":
             result.append(distance._weight_search(cols, reducer, len(cols)))
         else:
-            result.append(distance._kernel_search(gf2.kernel_basis(stab), reducer))
+            result.append(distance._kernel_search(gf2._pack_rows(gf2.kernel_basis(stab)), reducer))
     return tuple(result)
 
 
@@ -133,8 +133,21 @@ def test_strategies_agree_on_random_sectors(monkeypatch, table_bits, chunk_words
         excl = rng.integers(0, 2, (rng.integers(0, 5), n), dtype=np.uint8)
         cols, reducer, _ = distance._packed_sector(stab, excl)
         expected = distance._weight_search(cols, reducer, n)
-        assert distance._kernel_search(gf2.kernel_basis(stab), reducer) == expected
+        assert distance._kernel_search(gf2._pack_rows(gf2.kernel_basis(stab)), reducer) == expected
         assert distance._sector_min_weight(stab, excl) == expected
+
+
+def test_kernel_vectors_span_kernel():
+    rng = np.random.default_rng(131)
+    for _ in range(150):
+        rows, n = int(rng.integers(0, 9)), int(rng.integers(1, 17))
+        stab = (rng.random((rows, n)) < rng.choice([0.1, 0.5, 0.9])).astype(np.uint8)
+        cols, _, dim = distance._packed_sector(stab, np.zeros((0, n), dtype=np.uint8))
+        vectors = distance._kernel_vectors(cols, rows)
+        assert len(vectors) == dim == n - len(reference_row_echelon(stab)[1])
+        V = gf2._unpack_rows(vectors, n)
+        assert not gf2.mul(stab, V.T).any()
+        assert len(reference_row_echelon(V)[1]) == dim
 
 
 def test_golay_distance_uses_kernel_enumeration(monkeypatch):
@@ -145,9 +158,9 @@ def test_golay_distance_uses_kernel_enumeration(monkeypatch):
         depths.append(max_weight)
         return weight_search(cols, reducer, max_weight)
 
-    def spy_kernel(basis, reducer):
-        enumerated.append(len(basis))
-        return kernel_search(basis, reducer)
+    def spy_kernel(vectors, reducer):
+        enumerated.append(len(vectors))
+        return kernel_search(vectors, reducer)
 
     monkeypatch.setattr(distance, "_weight_search", spy_weight)
     monkeypatch.setattr(distance, "_kernel_search", spy_kernel)

@@ -11,7 +11,6 @@ from hypermap_codes import (
     NotBijectiveError,
     NotConnectedError,
     Permutation,
-    SpecialDartSet,
     build_canonical,
     choose_special_darts,
     hypermap_from_json,
@@ -19,7 +18,13 @@ from hypermap_codes import (
     params,
 )
 from hypermap_codes.hypermap import check_special_darts
-from util import random_hypermap, random_permutation, torus_hypermap
+from util import (
+    random_hypermap,
+    random_permutation,
+    random_sparse_permutation,
+    reference_components,
+    torus_hypermap,
+)
 
 
 def test_identity_orbits():
@@ -49,7 +54,7 @@ def test_cycles_reject_repeated_label():
         pytest.param(lambda: Permutation((1.9, 2.2)), id="float-image"),
         pytest.param(lambda: Permutation(("2", "1")), id="str-image"),
         pytest.param(lambda: Permutation.from_cycles([[1.0, 2.0]], 2), id="float-cycle"),
-        pytest.param(lambda: SpecialDartSet((1.0, 5)), id="float-special"),
+        pytest.param(lambda: check_special_darts(torus_hypermap()[0], (1.0, 5)), id="float-special"),
         pytest.param(
             lambda: choose_special_darts(torus_hypermap()[0], preferred=[3.9, 7.1]), id="float-preferred"
         ),
@@ -67,7 +72,9 @@ def test_numpy_integer_labels_are_accepted():
     assert p.image == (2, 3, 1) and {type(x) for x in p.image} == {int}
     assert Permutation.from_cycles([np.array([1, 2, 3])], 3) == p
     S = choose_special_darts(H, preferred=np.array([3, 7]))
-    assert S.darts == (3, 7) and {type(x) for x in S.darts} == {int}
+    assert S == (3, 7) and {type(x) for x in S} == {int}
+    S = check_special_darts(H, np.array([3, 7]))
+    assert S == (3, 7) and {type(x) for x in S} == {int}
 
 
 def test_face_permutation_of_torus():
@@ -99,8 +106,29 @@ def test_counts_single_dart():
 
 
 def test_disconnected_pair_rejected():
-    with pytest.raises(NotConnectedError):
+    message = r"^only {} of {} darts are reachable from dart 1 under sigma and tau$"
+    with pytest.raises(NotConnectedError, match=message.format(1, 2)):
         Hypermap(Permutation.identity(2), Permutation.identity(2))
+    swaps = Permutation((2, 1, 4, 3))
+    with pytest.raises(NotConnectedError, match=message.format(2, 4)):
+        Hypermap(swaps, swaps)
+
+
+def test_connectivity_matches_union_find_reference():
+    rng = random.Random(151)
+    connected = set()
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        sigma, tau = random_sparse_permutation(rng, n), random_sparse_permutation(rng, n)
+        roots = reference_components(sigma, tau)
+        reached = roots.count(roots[0])
+        if reached == n:
+            assert Hypermap(sigma, tau).n_darts == n
+        else:
+            with pytest.raises(NotConnectedError, match=f"^only {reached} of {n} darts are reachable"):
+                Hypermap(sigma, tau)
+        connected.add(reached == n)
+    assert connected == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -143,31 +171,35 @@ def test_genus_two_dart_edge_with_code_cross_check():
 
 def test_incident_orbits_of_torus():
     H, _ = torus_hypermap()
-    assert H.vertices().orbits[H.incident_vertex(1)] == (1, 8, 3, 6)
-    assert H.hyperedges().orbits[H.incident_edge(1)] == (1, 2, 3, 4)
-    assert H.incident_vertex(2) == 1
+    assert H.vertices().orbits[H.vertices().orbit_index(1)] == (1, 8, 3, 6)
+    assert H.hyperedges().orbits[H.hyperedges().orbit_index(1)] == (1, 2, 3, 4)
+    assert H.vertices().orbit_index(2) == 1
+    assert H.vertices().labels == (0, 1, 0, 1, 1, 0, 1, 0)
+    assert H.hyperedges().labels == (0, 0, 0, 0, 1, 1, 1, 1)
 
 
 def test_incident_vertex_out_of_range():
     H, _ = torus_hypermap()
-    with pytest.raises(ValueError):
-        H.incident_vertex(9)
+    for dart in (0, 9):
+        with pytest.raises(ValueError, match=f"^dart {dart} not in partition$"):
+            H.vertices().orbit_index(dart)
 
 
 def test_identity_sigma_gives_one_vertex_per_dart():
     H = Hypermap(Permutation.identity(2), Permutation.from_cycles([[1, 2]], 2))
-    assert H.incident_vertex(1) == 0
-    assert H.incident_vertex(2) == 1
+    assert H.vertices().orbit_index(1) == 0
+    assert H.vertices().orbit_index(2) == 1
+    assert H.vertices().labels == (0, 1)
 
 
 def test_choose_special_preferred():
     H, _ = torus_hypermap()
-    assert choose_special_darts(H, preferred=[3, 7]).darts == (3, 7)
+    assert choose_special_darts(H, preferred=[3, 7]) == (3, 7)
 
 
 def test_choose_special_default_smallest():
     H, _ = torus_hypermap()
-    assert choose_special_darts(H).darts == (1, 5)
+    assert choose_special_darts(H) == (1, 5)
 
 
 def test_choose_special_duplicate_hyperedge():
@@ -188,16 +220,16 @@ def test_choose_special_duplicate_hyperedge():
 def test_special_dart_errors_same_for_check_and_choose(darts, error, message):
     H, _ = torus_hypermap()
     with pytest.raises(error, match=message):
-        check_special_darts(H, SpecialDartSet(darts))
+        check_special_darts(H, darts)
     with pytest.raises(error, match=message):
         choose_special_darts(H, preferred=darts)
 
 
 def test_check_special_darts_needs_one_per_hyperedge():
     H, _ = torus_hypermap()
-    check_special_darts(H, SpecialDartSet((3, 7)))
+    assert check_special_darts(H, (7, 3)) == (7, 3)
     with pytest.raises(ValueError, match=r"^1 special darts for 2 hyperedges$"):
-        check_special_darts(H, SpecialDartSet((3,)))
+        check_special_darts(H, (3,))
 
 
 def test_counts_invariant_under_relabeling():

@@ -118,7 +118,7 @@ def test_graph_numpy_integer_labels_are_accepted():
 
 def test_intermediate_surface_keeps_all_darts():
     H, S = torus_hypermap()
-    G = intermediate_surface(H, S)
+    G = intermediate_surface(H)
     assert len(G.edges) == 8
     assert len(G.faces) == 4 + 2
     # same surface: V - W + (F + E) equals the Euler characteristic
@@ -277,7 +277,7 @@ def test_graph_to_hypermap_single_loop():
     H, S = graph_to_hypermap(G)
     assert H.tau == Permutation.from_cycles([[1, 2]], 2)
     assert H.sigma == Permutation.from_cycles([[1, 2]], 2)
-    assert S.darts == (1,)
+    assert S == (1,)
 
 
 def test_graph_to_hypermap_two_dart_hyperedges():

@@ -12,7 +12,6 @@ from hypermap_codes import (
     NotConnectedError,
     Permutation,
     RotationGraph,
-    SpecialDartSet,
     build_canonical,
     choose_special_darts,
     dart_vertex_sum,
@@ -36,6 +35,33 @@ def random_permutation(rng, n):
     image = list(range(1, n + 1))
     rng.shuffle(image)
     return Permutation(tuple(image))
+
+
+def random_sparse_permutation(rng, n):
+    """A permutation of ``1..n`` moving a random subset of the darts, often few."""
+    image = list(range(1, n + 1))
+    moved = rng.sample(range(n), rng.randint(0, n))
+    targets = [image[i] for i in moved]
+    rng.shuffle(targets)
+    for i, t in zip(moved, targets):
+        image[i] = t
+    return Permutation(tuple(image))
+
+
+def reference_components(sigma, tau):
+    """Root of every dart's component under ``sigma`` and ``tau``, by union-find (0-based)."""
+    parent = list(range(sigma.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for d, images in enumerate(zip(sigma.image, tau.image)):
+        for image in images:
+            parent[find(d)] = find(image - 1)
+    return [find(x) for x in range(sigma.n)]
 
 
 def random_hypermap(rng, min_darts=2, max_darts=20):
@@ -69,7 +95,7 @@ def random_cycle_hypermap(rng, hyperedges, length):
 
 def random_special_darts(rng, H):
     """A random valid special-dart choice: any one dart of every hyperedge."""
-    return SpecialDartSet(tuple(rng.choice(orbit) for orbit in H.hyperedges().orbits))
+    return tuple(rng.choice(orbit) for orbit in H.hyperedges().orbits)
 
 
 def reference_boundary_rows(H, S):
