@@ -61,10 +61,8 @@ from .surface import (
     hypermap_to_surface,
     intermediate_surface,
     load_rotation_graph,
-    load_surface_graph,
     rotation_faces,
     rotation_to_surface,
-    save_rotation_graph,
     save_surface_graph,
     surface_code,
     toric_rotation_graph,

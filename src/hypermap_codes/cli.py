@@ -38,6 +38,11 @@ def _format_darts(darts) -> str:
     return ",".join(map(str, darts))
 
 
+def _distance_fields(code: css.CssCode) -> str:
+    dx, dz = distance_split(code)
+    return f"d={min(dx, dz)} dx={dx} dz={dz}"
+
+
 def cmd_info(args) -> int:
     H, special = _load_hypermap_and_special(args.hypermap, None)
     v, e, f, w = H.counts()
@@ -54,13 +59,10 @@ def cmd_build(args) -> int:
         code = css.transform(code, T)
     if args.reduce:
         code = css.reduced(code)
-    p = css.params(code, with_distance=args.distance)
+    p = css.params(code)
     line = f"n={p.n} k={p.k}"
     if args.distance:
-        if p.d is None:
-            line += " d=none"
-        else:
-            line += f" d={p.d} dx={p.dx} dz={p.dz}"
+        line += " " + (_distance_fields(code) if p.k else "d=none")
     print(line)
     if args.out:
         css.write_stabilizer(args.out, code)
@@ -117,11 +119,8 @@ def cmd_verify(args) -> int:
 def _print_row_space_diff(a: css.CssCode, b: css.CssCode) -> None:
     for sector, ma, mb in (("Hx", a.hx, b.hx), ("Hz", a.hz, b.hz)):
         for name, src, other in (("hypermap", ma, mb), ("surface", mb, ma)):
-            basis, mask = gf2._forward(gf2._pack_rows(other))
-            for row, packed in zip(src, gf2._pack_rows(src)):
-                if gf2._reduce(packed, basis, mask):
-                    bits = " ".join(map(str, row))
-                    print(f"diff {sector} {name}-only-row: {bits}")
+            for i in gf2.rows_outside(src, gf2.row_basis(other)):
+                print(f"diff {sector} {name}-only-row: {' '.join(map(str, src[i]))}")
 
 
 def cmd_decompose(args) -> int:
@@ -133,9 +132,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    code = css.read_stabilizer(args.stabilizer)
-    dx, dz = distance_split(code)
-    print(f"d={min(dx, dz)} dx={dx} dz={dz}")
+    print(_distance_fields(css.read_stabilizer(args.stabilizer)))
     return 0
 
 

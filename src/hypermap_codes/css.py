@@ -5,10 +5,14 @@ A :class:`CssCode` is the pair of generator matrices ``(hx, hz)`` with
 in :mod:`~hypermap_codes.chain`, whose :func:`boundary_pair` returns the
 canonical code, and is re-exported here.  Dependent rows are kept, since
 the row spaces are what define the code; :func:`reduced` drops them for
-display.  The canonical code of a hypermap places one qubit on each
-nonspecial dart; any invertible basis change of the underlying quotient
-space is realized on the code by a CNOT circuit obtained from the
-elementary-factor decomposition of the change matrix.  A gate is a 1-based
+display.  :func:`params` gives ``n`` and ``k`` only; the distance comes from
+:func:`~hypermap_codes.distance.distance_split`, and row-space equality from
+the echelon bases of :func:`~hypermap_codes.gf2.row_basis`.
+
+The canonical code of a hypermap places one qubit on each nonspecial dart;
+any invertible basis change of the underlying quotient space is realized on
+the code by a CNOT circuit obtained from the elementary-factor
+decomposition of the change matrix.  A gate is a 1-based
 ``(control, target)`` pair, and a :class:`CnotCircuit` holds its gates as
 one ``(m, 2)`` array: factor ``f_ij`` of
 :func:`~hypermap_codes.gf2.decompose_elementary` is the CNOT with control
@@ -32,9 +36,6 @@ from .hypermap import Hypermap, choose_special_darts
 class CodeParams:
     n: int
     k: int
-    d: int | None = None
-    dx: int | None = None
-    dz: int | None = None
 
 
 @dataclass(frozen=True)
@@ -95,20 +96,9 @@ def reduced(code: CssCode) -> CssCode:
     return CssCode(reduce_one(code.hx), reduce_one(code.hz))
 
 
-def params(code: CssCode, with_distance: bool = False) -> CodeParams:
-    """Code parameters; ``k = n - rank(hx) - rank(hz)``.
-
-    With ``with_distance`` the brute-force oracle fills ``d``/``dx``/``dz``;
-    they stay ``None`` for codes without logical operators (``k = 0``).
-    """
-    n = code.n
-    k = n - gf2.rank(code.hx) - gf2.rank(code.hz)
-    if not with_distance or k == 0:
-        return CodeParams(n=n, k=k)
-    from .distance import distance_split
-
-    dx, dz = distance_split(code)
-    return CodeParams(n=n, k=k, d=min(dx, dz), dx=dx, dz=dz)
+def params(code: CssCode) -> CodeParams:
+    """Length and logical count; ``k = n - rank(hx) - rank(hz)``."""
+    return CodeParams(n=code.n, k=code.n - gf2.rank(code.hx) - gf2.rank(code.hz))
 
 
 def cnot_circuit(T) -> CnotCircuit:
@@ -164,14 +154,11 @@ def transform(code: CssCode, T) -> CssCode:
 
 
 def _same_row_space(A, B) -> bool:
-    """Every row of ``B`` reduces to 0 against an echelon basis of ``A``, and the ranks agree."""
+    """No row of ``B`` lies outside the span of ``A``, and the ranks agree."""
     if np.array_equal(A, B):
         return True
-    basis, mask = gf2._forward(gf2._pack_rows(A))
-    rows = gf2._pack_rows(B)
-    if any(gf2._reduce(v, basis, mask) for v in rows):
-        return False
-    return len(gf2._forward(rows)[0]) == len(basis)
+    basis = gf2.row_basis(A)
+    return not gf2.rows_outside(B, basis) and gf2.rank(B) == len(basis[0])
 
 
 def stabilizer_equal(a: CssCode, b: CssCode) -> bool:

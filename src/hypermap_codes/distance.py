@@ -3,6 +3,8 @@
 The distance is ``d = min(dx, dz)`` with ``dz`` the minimum weight of a
 vector in the kernel of ``hx`` outside the row space of ``hz`` and ``dx``
 the mirror image; inputs are guarded at ``n <= 24`` qubits.
+:func:`distance_split` is the one entry point, and it eliminates ``hx``
+and ``hz`` once each (:func:`~hypermap_codes.gf2.row_basis`).
 
 Each sector runs one exact search that switches strategy by cost.  It first
 scans Hamming weights in ascending order (every ``w``-subset of the packed
@@ -17,8 +19,8 @@ Both strategies are exact, so the rule decides speed only: shallow codes
 stop in the weight loop, deep ones (the ``[[23,1,7]]`` Golay code switches
 after ``w = 3``) pay ``2^dim ker(H)`` vectorised steps.
 
-:func:`distance_exhaustive` is a deliberately independent full-enumeration
-implementation kept for cross-checking the oracle on small codes.
+:func:`distance_exhaustive` is a full-enumeration implementation kept for
+cross-checking the oracle's search on small codes.
 """
 
 from __future__ import annotations
@@ -43,20 +45,6 @@ class CodeTooLargeError(ValueError):
 
 class NoLogicalOperatorError(ValueError):
     """The code has no logical operators (k = 0), so no distance."""
-
-
-def _packed_sector(stab, excl):
-    """``(cols, reducer, dim)`` for one sector.
-
-    ``cols[j]`` packs column ``j`` of the check matrix, so a set of columns
-    XORs to 0 exactly when its indicator vector is in ``ker(H)``;
-    ``reducer`` is the echelon basis ``(basis, mask)`` of the excluded row
-    space for ``gf2._reduce``, which maps a vector to the one member of its
-    coset with no pivot bit: the map is linear, and 0 exactly on the row
-    space.  ``dim`` is ``dim ker(H)``.
-    """
-    cols = gf2._pack_rows(stab.T)
-    return cols, gf2._forward(gf2._pack_rows(excl)), stab.shape[1] - gf2.rank(stab)
 
 
 def _kernel_vectors(cols, rows: int) -> list[int]:
@@ -119,15 +107,21 @@ def _kernel_search(vectors, reducer) -> int:
     return 0 if best == 255 else best
 
 
-def _sector_min_weight(stab, excl) -> int:
-    """Minimum weight of ``v != 0`` with ``stab v = 0`` outside the row space of ``excl``.
+def _sector_min_weight(stab, rank: int, reducer) -> int:
+    """Minimum weight of ``v != 0`` with ``stab v = 0`` outside the span of ``reducer``.
 
-    Returns 0 when no such vector exists.  The weight loop runs through the
-    largest ``w`` with ``C(n, 1) + ... + C(n, w) <= 2^dim ker(H)``; if it
-    finds nothing, the kernel is enumerated.
+    ``rank`` is the rank of ``stab``, and ``reducer`` is the
+    :func:`~hypermap_codes.gf2.row_basis` of the excluded matrix: with it,
+    ``gf2._reduce`` maps a vector to the one member of its coset with no
+    pivot bit, a linear map that is 0 exactly on the excluded row space.
+    ``cols[j]`` packs column ``j`` of ``stab``, so a set of columns XORs to
+    0 exactly when its indicator vector is in ``ker(H)``.  Returns 0 when
+    no such vector exists.  The weight loop runs through the largest ``w``
+    with ``C(n, 1) + ... + C(n, w) <= 2^dim ker(H)``; if it finds nothing,
+    the kernel is enumerated.
     """
-    cols, reducer, dim = _packed_sector(stab, excl)
-    n, budget = len(cols), 1 << dim
+    cols = gf2._pack_rows(stab.T)
+    n, budget = len(cols), 1 << (len(cols) - rank)
     depth, spent = 0, 0
     while depth < n and spent + math.comb(n, depth + 1) <= budget:
         depth += 1
@@ -148,8 +142,9 @@ def distance_split(code) -> tuple[int, int]:
         raise CodeTooLargeError(
             f"{n} qubits exceed the n <= {MAX_ORACLE_QUBITS} brute-force guard"
         )
-    dz = _default_kernel(code.hx, code.hz)
-    dx = _default_kernel(code.hz, code.hx)
+    bx, bz = gf2.row_basis(code.hx), gf2.row_basis(code.hz)
+    dz = _default_kernel(code.hx, len(bx[0]), bz)
+    dx = _default_kernel(code.hz, len(bz[0]), bx)
     if (dx == 0) != (dz == 0):
         raise AssertionError("one-sided logical sector; inconsistent code")
     if dx == 0:
@@ -164,11 +159,15 @@ def distance_bruteforce(code) -> int:
 
 
 def distance_exhaustive(code) -> int:
-    """Independent cross-check: full enumeration of all 2^n - 1 candidates.
+    """Cross-check of the oracle: full enumeration of all 2^n - 1 candidates.
 
     Kernel membership is decided row by row (parity of each check against
-    the candidate) and row-space membership by augmented-rank elimination,
-    sharing no code path with the weight-ordered search.
+    the candidate), independently of the oracle's column XORs and of its
+    weight and kernel strategies.  Row-space membership goes through
+    :func:`~hypermap_codes.gf2.row_space_contains`, so it shares the packed
+    elimination core (``gf2._forward``/``gf2._reduce``) with the oracle's
+    reducer; that core's independent reference is the column loop of
+    ``tests/util.py``, which ``tests/test_gf2_core.py`` cross-checks it against.
     """
     n = code.hx.shape[1]
     if n > MAX_EXHAUSTIVE_QUBITS:

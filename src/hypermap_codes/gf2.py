@@ -4,6 +4,13 @@ Matrices are plain ``numpy.ndarray`` objects with dtype uint8 and entries in
 {0, 1}; all arithmetic is mod 2.  Elimination (``row_echelon``, ``rank``,
 ``invert``, row-space membership) packs each row into a Python int once per
 matrix and works by int XOR; products go through BLAS (:func:`mul`).
+
+The row-space API is one pair: :func:`row_basis` eliminates a matrix once
+into its echelon basis, whose size is the rank, and :func:`rows_outside`
+names the rows of another matrix outside that span.  Ranks, row-space
+membership and equality, the ``compare`` diff and the distance oracle's
+reducer all go through it.
+
 Array axes are 0-based as usual, but the column indices of an
 elementary-factor decomposition are 1-based, matching the dart and qubit
 labels used in every file format and CLI surface.  A decomposition is one
@@ -154,10 +161,23 @@ def row_echelon(M) -> tuple[np.ndarray, list[int]]:
     return R, list(reduced)
 
 
+def row_basis(M) -> tuple[dict[int, int], int]:
+    """Echelon basis ``({pivot: row}, pivot mask)`` of the row space of ``M``.
+
+    One forward elimination; the basis has one row per unit of rank.
+    """
+    return _forward(_pack_rows(as_matrix(M)))
+
+
+def rows_outside(M, basis: tuple[dict[int, int], int]) -> list[int]:
+    """Indices, ascending, of the rows of ``M`` outside the span of ``basis`` (a :func:`row_basis`)."""
+    pivots, mask = basis
+    return [i for i, v in enumerate(_pack_rows(as_matrix(M))) if _reduce(v, pivots, mask)]
+
+
 def rank(M) -> int:
     """GF(2) row rank (forward elimination only)."""
-    basis, _ = _forward(_pack_rows(as_matrix(M)))
-    return len(basis)
+    return len(row_basis(M)[0])
 
 
 def kernel_basis(M) -> np.ndarray:
@@ -184,8 +204,7 @@ def row_space_contains(M, v) -> bool:
         raise ValueError(
             f"vector length {v.shape[0]} does not match {M.shape[1]} columns"
         )
-    basis, mask = _forward(_pack_rows(M))
-    return _reduce(_pack_rows(v[np.newaxis, :])[0], basis, mask) == 0
+    return not rows_outside(v[np.newaxis, :], row_basis(M))
 
 
 def invert(T) -> np.ndarray:

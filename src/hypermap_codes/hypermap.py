@@ -205,15 +205,23 @@ class Hypermap:
     def from_cycles(cls, n: int, sigma_cycles, tau_cycles) -> "Hypermap":
         """Build from cycles of 1-based labels; fixed points may be omitted.
 
-        Dart ``n`` must be named in a cycle unless ``n == 1``: a dart fixed by
-        both permutations is a component of its own.  This is checked before
-        anything of size ``n`` is allocated, so the cycles must be lists (or
-        other collections), not one-shot iterators.
+        Unless ``n == 1``, every dart must be named in a cycle: a dart fixed
+        by both permutations is a component of its own.  So dart ``n`` must be
+        named, and the cycles must list at least ``n`` labels.  Both are
+        checked before anything of size ``n`` is allocated, so the cycles
+        must be lists (or other collections), not one-shot iterators.
         """
-        named = max(chain.from_iterable(chain(sigma_cycles, tau_cycles)), default=0)
+        cycles = list(chain(sigma_cycles, tau_cycles))
+        named = max(chain.from_iterable(cycles), default=0)
         if n > max(1, named):
             raise NotConnectedError(
                 f"dart {n} is fixed by sigma and tau, so it is a component of its own"
+            )
+        listed = sum(map(len, cycles))
+        if n > max(1, listed):
+            raise NotConnectedError(
+                f"the cycles list {listed} labels for {n} darts, so some dart is"
+                " fixed by sigma and tau and is a component of its own"
             )
         return cls(
             Permutation.from_cycles(sigma_cycles, n),

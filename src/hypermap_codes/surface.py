@@ -112,10 +112,6 @@ class RotationGraph:
                     f"edge-end {h} belongs at vertex {self.end_vertex(h)}, listed at {v}"
                 )
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def end_vertex(self, h: int) -> int:
         """Vertex carrying edge-end ``h``."""
         a, b = self.edges[(h - 1) // 2]
@@ -365,17 +361,9 @@ def rotation_graph_from_json(data: dict) -> RotationGraph:
     return RotationGraph(vertices, tuple(map(tuple, edges)), tuple(map(tuple, rotation)))
 
 
-def load_surface_graph(path) -> SurfaceGraph:
-    return surface_graph_from_json(json.loads(Path(path).read_text()))
-
-
 def save_surface_graph(path, G: SurfaceGraph) -> None:
     Path(path).write_text(compact_json(surface_graph_to_json(G)))
 
 
 def load_rotation_graph(path) -> RotationGraph:
     return rotation_graph_from_json(json.loads(Path(path).read_text()))
-
-
-def save_rotation_graph(path, G: RotationGraph) -> None:
-    Path(path).write_text(compact_json(rotation_graph_to_json(G)))

@@ -34,9 +34,10 @@ def test_info_disconnected_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_info_huge_dart_count_exits_2_without_allocating(tmp_path, capsys):
+def info_error_without_allocating(tmp_path, capsys, data) -> str:
+    """Stderr of ``info`` on ``data``, which must exit 2 with a tracemalloc peak under 1 MiB."""
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"darts": 10**9, "sigma": [[1, 2]], "tau": []}))
+    path.write_text(json.dumps(data))
     tracemalloc.start()
     try:
         assert main(["info", str(path)]) == 2
@@ -46,7 +47,22 @@ def test_info_huge_dart_count_exits_2_without_allocating(tmp_path, capsys):
     assert peak < 1 << 20
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: dart 1000000000 is fixed by sigma and tau, so it is a component of its own\n"
+    return captured.err
+
+
+def test_info_huge_dart_count_exits_2_without_allocating(tmp_path, capsys):
+    err = info_error_without_allocating(tmp_path, capsys, {"darts": 10**9, "sigma": [[1, 2]], "tau": []})
+    assert err == "error: dart 1000000000 is fixed by sigma and tau, so it is a component of its own\n"
+
+
+@pytest.mark.parametrize("darts", [10**19, 10**6])
+def test_info_unlisted_darts_exit_2_without_allocating(tmp_path, capsys, darts):
+    # Dart n is named, but the other darts lie on no cycle.
+    err = info_error_without_allocating(tmp_path, capsys, {"darts": darts, "sigma": [[1, darts]], "tau": []})
+    assert err == (
+        f"error: the cycles list 2 labels for {darts} darts, so some dart is"
+        " fixed by sigma and tau and is a component of its own\n"
+    )
 
 
 def test_info_malformed_json_exits_2(tmp_path, capsys):
@@ -138,6 +154,13 @@ def test_build_with_basis_change_prints_noncanonical(tmp_path, capsys):
 def test_build_distance_flag(capsys):
     assert main(["build", TORUS, "--distance"]) == 0
     assert "n=6 k=2 d=2 dx=2 dz=2" in capsys.readouterr().out
+
+
+def test_build_distance_flag_without_logicals(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text('{"darts": 1, "sigma": [], "tau": []}')
+    assert main(["build", str(path), "--distance"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "n=0 k=0 d=none"
 
 
 def test_build_same_hyperedge_specials_exit_2(capsys):

@@ -12,6 +12,9 @@ from hypermap_codes import (
     distance_exhaustive,
     distance_split,
     params,
+    rotation_to_surface,
+    surface_code,
+    toric_rotation_graph,
     transform,
 )
 from hypermap_codes import distance, gf2
@@ -65,14 +68,6 @@ def test_no_logicals_raises():
         distance_exhaustive(code)
 
 
-def test_params_with_distance_leaves_none_for_k_zero():
-    from hypermap_codes import Hypermap
-
-    code = build_canonical(Hypermap.from_cycles(2, [], [[1, 2]]))
-    p = params(code, with_distance=True)
-    assert p.d is None and p.dx is None and p.dz is None
-
-
 def test_oracle_matches_exhaustive_on_random_codes():
     rng = random.Random(53)
     for _ in range(6):
@@ -80,20 +75,24 @@ def test_oracle_matches_exhaustive_on_random_codes():
         assert distance_bruteforce(code) == distance_exhaustive(code)
 
 
+def sector_min_weight(stab, excl) -> int:
+    return distance._sector_min_weight(stab, gf2.rank(stab), gf2.row_basis(excl))
+
+
 def test_sector_search_directly():
     # Kernel of [[1,1,0],[0,1,1]] is spanned by (1,1,1); excluding nothing,
     # the minimum logical weight is 3.
     stab = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
-    assert distance._sector_min_weight(stab, np.zeros((0, 3), dtype=np.uint8)) == 3
+    assert sector_min_weight(stab, np.zeros((0, 3), dtype=np.uint8)) == 3
     # Excluding the vector itself leaves nothing.
-    assert distance._sector_min_weight(stab, np.array([[1, 1, 1]], dtype=np.uint8)) == 0
+    assert sector_min_weight(stab, np.array([[1, 1, 1]], dtype=np.uint8)) == 0
 
 
 def forced_split(code, strategy):
     """``(dx, dz)`` from one strategy alone, 0 for a sector without logicals."""
     result = []
     for stab, excl in ((code.hz, code.hx), (code.hx, code.hz)):
-        cols, reducer, _ = distance._packed_sector(stab, excl)
+        cols, reducer = gf2._pack_rows(stab.T), gf2.row_basis(excl)
         if strategy == "weight":
             result.append(distance._weight_search(cols, reducer, len(cols)))
         else:
@@ -131,10 +130,10 @@ def test_strategies_agree_on_random_sectors(monkeypatch, table_bits, chunk_words
         n = int(rng.integers(1, 11))
         stab = rng.integers(0, 2, (rng.integers(0, 7), n), dtype=np.uint8)
         excl = rng.integers(0, 2, (rng.integers(0, 5), n), dtype=np.uint8)
-        cols, reducer, _ = distance._packed_sector(stab, excl)
+        cols, reducer = gf2._pack_rows(stab.T), gf2.row_basis(excl)
         expected = distance._weight_search(cols, reducer, n)
         assert distance._kernel_search(gf2._pack_rows(gf2.kernel_basis(stab)), reducer) == expected
-        assert distance._sector_min_weight(stab, excl) == expected
+        assert sector_min_weight(stab, excl) == expected
 
 
 def test_kernel_vectors_span_kernel():
@@ -142,9 +141,9 @@ def test_kernel_vectors_span_kernel():
     for _ in range(150):
         rows, n = int(rng.integers(0, 9)), int(rng.integers(1, 17))
         stab = (rng.random((rows, n)) < rng.choice([0.1, 0.5, 0.9])).astype(np.uint8)
-        cols, _, dim = distance._packed_sector(stab, np.zeros((0, n), dtype=np.uint8))
-        vectors = distance._kernel_vectors(cols, rows)
-        assert len(vectors) == dim == n - len(reference_row_echelon(stab)[1])
+        vectors = distance._kernel_vectors(gf2._pack_rows(stab.T), rows)
+        dim = n - len(reference_row_echelon(stab)[1])
+        assert len(vectors) == dim
         V = gf2._unpack_rows(vectors, n)
         assert not gf2.mul(stab, V.T).any()
         assert len(reference_row_echelon(V)[1]) == dim
@@ -169,6 +168,15 @@ def test_golay_distance_uses_kernel_enumeration(monkeypatch):
     assert depths == [3, 3] and enumerated == [12, 12]
 
 
+def test_split_eliminates_each_matrix_once(monkeypatch):
+    # Toric 3x3: the weight loop finds both distances, so no kernel basis is built.
+    code = surface_code(rotation_to_surface(toric_rotation_graph(3, 3)))
+    forward, calls = gf2._forward, []
+    monkeypatch.setattr(gf2, "_forward", lambda rows: calls.append(rows) or forward(rows))
+    assert distance_split(code) == (3, 3)
+    assert len(calls) == 2
+
+
 def test_zero_qubit_code_has_no_logicals():
     from hypermap_codes import Hypermap, Permutation
 
@@ -176,7 +184,7 @@ def test_zero_qubit_code_has_no_logicals():
     assert code.n == 0
     with pytest.raises(NoLogicalOperatorError):
         distance_bruteforce(code)
-    assert params(code, with_distance=True).d is None
+    assert params(code).k == 0
 
 
 def test_distance_invariant_under_generator_changes():

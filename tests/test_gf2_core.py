@@ -2,11 +2,11 @@
 
 The reduced row-echelon form of a row space is unique, so ``row_echelon``
 must return exactly the reference's ``(R, pivot_cols)``; ``rank``,
-``kernel_basis``, ``row_space_contains``, ``invert`` and the callers in
-``css`` and ``distance`` are checked against the same reference.  Matrices
-are drawn by shape class (no rows or no columns, one row, tall, wide, rows
-spanning several 64-bit words, more than 512 columns) and density, plus the
-boundary matrices of random hypermaps.
+``row_basis``/``rows_outside``, ``kernel_basis``, ``row_space_contains``,
+``invert`` and ``css._same_row_space`` are checked against the same
+reference.  Matrices are drawn by shape class (no rows or no columns, one
+row, tall, wide, rows spanning several 64-bit words, more than 512 columns)
+and density, plus the boundary matrices of random hypermaps.
 """
 
 import random
@@ -18,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hypermap_codes import boundary_pair, css, distance, gf2  # noqa: E402
+from hypermap_codes import boundary_pair, css, gf2  # noqa: E402
 from util import (  # noqa: E402
     random_cycle_hypermap,
     random_special_darts,
@@ -161,22 +161,18 @@ def test_same_row_space_matches_reference(A, seed, perturb):
 
 
 @SETTINGS
-@given(matrices(), matrices(), st.integers(0, 2**32 - 1))
-def test_packed_sector_matches_reference(stab, excl, seed):
-    if stab.shape[1] != excl.shape[1]:
-        excl = excl[:, : stab.shape[1]] if excl.shape[1] > stab.shape[1] else stab[::-1]
-    cols, (basis, mask), dim = distance._packed_sector(stab, excl)
-    assert dim == stab.shape[1] - len(reference_row_echelon(stab)[1])
-    assert cols == [sum(int(b) << r for r, b in enumerate(stab[:, j])) for j in range(stab.shape[1])]
-    # The reducer is 0 exactly on the excluded row space.
-    rank = len(reference_row_echelon(excl)[1])
-    assert mask.bit_count() == rank
-    assert not any(gf2._reduce(v, basis, mask) for v in gf2._pack_rows(excl))
+@given(matrices(), st.integers(0, 2**32 - 1))
+def test_row_basis_matches_reference(M, seed):
+    basis = gf2.row_basis(M)
+    pivots, mask = basis
+    rank = len(reference_row_echelon(M)[1])
+    assert len(pivots) == mask.bit_count() == rank
+    assert sorted(pivots) == [p for p in range(M.shape[1]) if mask >> p & 1]
+    assert gf2.rows_outside(M, basis) == []
     # Random combinations of the rows, one entry flipped half of the time.
     rng = np.random.default_rng(seed)
-    V = gf2.mul(rng.integers(0, 2, (8, excl.shape[0]), dtype=np.uint8), excl)
+    V = gf2.mul(rng.integers(0, 2, (8, M.shape[0]), dtype=np.uint8), M)
     if V.size:
         V[::2, rng.integers(V.shape[1])] ^= 1
-    for v, packed in zip(V, gf2._pack_rows(V)):
-        in_span = len(reference_row_echelon(np.vstack([excl, v]))[1]) == rank
-        assert (gf2._reduce(packed, basis, mask) == 0) == in_span
+    outside = [i for i, v in enumerate(V) if len(reference_row_echelon(np.vstack([M, v]))[1]) > rank]
+    assert gf2.rows_outside(V, basis) == outside
