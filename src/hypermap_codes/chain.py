@@ -18,8 +18,9 @@ The chain condition ``p1 @ p2^t = 0`` is the CSS orthogonality condition,
 checked once when the code is constructed.
 
 :func:`boundary_pair` builds both matrices in one pass over per-dart index
-arrays (vertex, hyperedge, face, ``tau^-1``) read from the hypermap, whose
-frozen objects compute that structure once.  Every column has two toggled
+arrays (vertex, hyperedge, face, ``tau^-1``): the read-only arrays that the
+hypermap's frozen objects cache (``OrbitPartition.array``,
+``Permutation.array``), used as they are.  Every column has two toggled
 entries in each matrix: nonspecial dart ``d`` touches the vertices of ``d``
 and ``tau^-1(d)`` in ``p1``, and in ``p2`` the face of ``d`` and the face of
 its hyperedge's special dart, which the elimination replaces by the other
@@ -71,10 +72,16 @@ def hyperedge_dart_sum(H: Hypermap, edge: int) -> np.ndarray:
     return out
 
 
+def _nonspecial(n_darts: int, S: tuple[int, ...]) -> np.ndarray:
+    """0-based darts not in ``S``, ascending: the column order of the canonical code."""
+    special = np.zeros(n_darts + 1, dtype=bool)
+    special[list(S)] = True
+    return (~special[1:]).nonzero()[0]
+
+
 def nonspecial_darts(H: Hypermap, S: tuple[int, ...]) -> tuple[int, ...]:
     """All darts not in ``S``, ascending; the special coordinate basis."""
-    special = set(S)
-    return tuple(d for d in range(1, H.n_darts + 1) if d not in special)
+    return tuple((_nonspecial(H.n_darts, S) + 1).tolist())
 
 
 def project_nonspecial(H: Hypermap, S: tuple[int, ...], x) -> np.ndarray:
@@ -145,16 +152,12 @@ def boundary_pair(H: Hypermap, S: tuple[int, ...]) -> CssCode:
     """
     S = check_special_darts(H, S)
     vertices, edges, faces = H.vertices(), H.hyperedges(), H.faces()
-    vertex = np.array(vertices.labels)
-    edge = np.array(edges.labels)
-    face = np.array(faces.labels)
-    tau_inv = np.array(H.tau.inverse().image) - 1
-    special = np.array(S) - 1
+    vertex, edge, face = vertices.array, edges.array, faces.array
+    tau_inv = H.tau.inverse().array
+    special = np.array(S, dtype=np.intp) - 1
     special_of_edge = np.empty(len(edges), dtype=np.intp)
     special_of_edge[edge[special]] = special
-    is_special = np.zeros(H.n_darts, dtype=bool)
-    is_special[special] = True
-    darts = np.flatnonzero(~is_special)  # 0-based, ascending: the column order
+    darts = _nonspecial(H.n_darts, S)
     p1 = _toggle_columns(len(vertices), vertex[darts], vertex[tau_inv[darts]])
     p2 = _toggle_columns(len(faces), face[darts], face[special_of_edge[edge[darts]]])
     return CssCode(p1, p2)

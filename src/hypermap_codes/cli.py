@@ -38,8 +38,8 @@ def _format_darts(darts) -> str:
     return ",".join(map(str, darts))
 
 
-def _distance_fields(code: css.CssCode) -> str:
-    dx, dz = distance_split(code)
+def _distance_fields(code: css.CssCode, bases=None) -> str:
+    dx, dz = distance_split(code, bases)
     return f"d={min(dx, dz)} dx={dx} dz={dz}"
 
 
@@ -59,10 +59,12 @@ def cmd_build(args) -> int:
         code = css.transform(code, T)
     if args.reduce:
         code = css.reduced(code)
-    p = css.params(code)
-    line = f"n={p.n} k={p.k}"
+    # One elimination per sector gives k here and the oracle's reducers.
+    bases = gf2.row_basis(code.hx), gf2.row_basis(code.hz)
+    k = code.n - len(bases[0][0]) - len(bases[1][0])
+    line = f"n={code.n} k={k}"
     if args.distance:
-        line += " " + (_distance_fields(code) if p.k else "d=none")
+        line += " " + (_distance_fields(code, bases) if k else "d=none")
     print(line)
     if args.out:
         css.write_stabilizer(args.out, code)

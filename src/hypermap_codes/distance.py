@@ -135,14 +135,18 @@ def _sector_min_weight(stab, rank: int, reducer) -> int:
 _default_kernel = _sector_min_weight
 
 
-def distance_split(code) -> tuple[int, int]:
-    """``(dx, dz)`` for a code with logical operators in both sectors."""
+def distance_split(code, bases=None) -> tuple[int, int]:
+    """``(dx, dz)`` for a code with logical operators in both sectors.
+
+    ``bases`` is ``(gf2.row_basis(code.hx), gf2.row_basis(code.hz))`` when
+    the caller already has it; otherwise it is computed here.
+    """
     n = code.hx.shape[1]
     if n > MAX_ORACLE_QUBITS:
         raise CodeTooLargeError(
             f"{n} qubits exceed the n <= {MAX_ORACLE_QUBITS} brute-force guard"
         )
-    bx, bz = gf2.row_basis(code.hx), gf2.row_basis(code.hz)
+    bx, bz = bases or (gf2.row_basis(code.hx), gf2.row_basis(code.hz))
     dz = _default_kernel(code.hx, len(bx[0]), bz)
     dx = _default_kernel(code.hz, len(bz[0]), bx)
     if (dx == 0) != (dz == 0):

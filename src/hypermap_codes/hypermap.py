@@ -17,17 +17,23 @@ tuple of labels, checked by :func:`check_special_darts`.
 Both classes are frozen, so derived structure is computed at most once per
 object, on first use: a :class:`Permutation` keeps its orbit partition and
 its inverse, and a :class:`Hypermap` keeps ``sigma * tau^-1``, whose orbit
-partition the face permutation in turn keeps.  Each :class:`OrbitPartition`
-carries a dart-to-orbit label table, so orbit lookups are constant time.
+partition the face permutation in turn keeps.  The work is done on numpy
+index arrays: each permutation keeps one read-only 0-based image array
+(:attr:`Permutation.array`), and each :class:`OrbitPartition` one dart-to-orbit
+label array, found by pointer doubling.  Labels are range-checked as Python
+ints before any array is built, so a huge label is an error, not an overflow.
+The cycle-ordered orbit tuples are built only when something reads them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from operator import index
 from pathlib import Path
+
+import numpy as np
 
 from ._jsonfmt import compact_json
 
@@ -58,6 +64,36 @@ def _cached(obj, name: str, compute):
         return value
 
 
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _labels_in_range(values, n: int) -> list[int] | None:
+    """``values`` through :func:`operator.index` if all lie in ``1..n``, else ``None``.
+
+    The range is checked on Python ints, before any array is built.
+    """
+    try:
+        labels = list(map(index, values))
+    except TypeError:
+        return None
+    return labels if not labels or (1 <= min(labels) and max(labels) <= n) else None
+
+
+def _raise_bad_cycle_entry(cycles, n: int) -> None:
+    """Raise the error for the first bad entry of ``cycles``, in reading order."""
+    seen: set[int] = set()
+    for cycle in cycles:
+        for x in list(map(index, cycle)):
+            if not 1 <= x <= n:
+                raise ValueError(f"cycle entry {x} out of range 1..{n}")
+            if x in seen:
+                raise NotBijectiveError(f"label {x} appears in two cycles")
+            seen.add(x)
+    raise AssertionError("no bad cycle entry")
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of ``{1..n}`` stored by its image tuple."""
@@ -71,29 +107,46 @@ class Permutation:
             raise NotBijectiveError(f"images {image} are not a bijection on 1..{len(image)}")
 
     @classmethod
+    def _of_array(cls, array: np.ndarray) -> "Permutation":
+        """The permutation whose 0-based image array is ``array``, a known bijection."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "image", tuple((array + 1).tolist()))
+        object.__setattr__(p, "_array", _readonly(array))
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def from_cycles(cls, cycles, n: int) -> "Permutation":
-        """Build from disjoint cycles of 1-based labels; fixed points may be omitted."""
-        image = list(range(1, n + 1))
-        seen: set[int] = set()
-        for cycle in cycles:
-            cycle = list(map(index, cycle))
-            for x in cycle:
-                if not 1 <= x <= n:
-                    raise ValueError(f"cycle entry {x} out of range 1..{n}")
-                if x in seen:
-                    raise NotBijectiveError(f"label {x} appears in two cycles")
-                seen.add(x)
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                image[a - 1] = b
-        return cls(tuple(image))
+        """Build from disjoint cycles of 1-based labels; fixed points may be omitted.
+
+        Each cycle must be a collection: on bad input the cycles are read a
+        second time to name the first bad entry.
+        """
+        n = index(n)
+        cycles = list(cycles)
+        flat = _labels_in_range(chain.from_iterable(cycles), n)
+        if flat is None or len(set(flat)) != len(flat):
+            _raise_bad_cycle_entry(cycles, n)
+        labels = np.array(flat, dtype=np.intp) - 1
+        # Each entry maps to the next, except that the last entry of a cycle
+        # maps to the first; ``first`` holds where each nonempty cycle starts.
+        first = np.array(list(accumulate(filter(None, map(len, cycles)), initial=0)), dtype=np.intp)
+        image = np.arange(n)
+        image[labels[:-1]] = labels[1:]
+        image[labels[first[1:] - 1]] = labels[first[:-1]]
+        return cls._of_array(image)
 
     @property
     def n(self) -> int:
         return len(self.image)
+
+    @property
+    def array(self) -> np.ndarray:
+        """Read-only 0-based image array: ``array[d - 1] == self(d) - 1``."""
+        return _cached(self, "_array", lambda: _readonly(np.array(self.image, dtype=np.intp) - 1))
 
     def __call__(self, dart: int) -> int:
         if not 1 <= dart <= self.n:
@@ -105,69 +158,84 @@ class Permutation:
         return _cached(self, "_inverse", self._compute_inverse)
 
     def _compute_inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for d, img in enumerate(self.image, start=1):
-            inv[img - 1] = d
-        return Permutation(tuple(inv))
+        inv = np.empty_like(self.array)
+        inv[self.array] = np.arange(self.n)
+        return Permutation._of_array(inv)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: ``(p * q)(d) = p(q(d))``."""
         if self.n != other.n:
             raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.image[other.image[d] - 1] for d in range(self.n)))
+        return Permutation._of_array(self.array[other.array])
 
     def orbits(self) -> "OrbitPartition":
         """The orbit partition, computed once per object."""
-        return _cached(self, "_orbits", self._compute_orbits)
-
-    def _compute_orbits(self) -> "OrbitPartition":
-        image = self.image
-        seen = [False] * self.n
-        orbits: list[tuple[int, ...]] = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cycle = [start]
-            seen[start - 1] = True
-            d = image[start - 1]
-            while d != start:
-                cycle.append(d)
-                seen[d - 1] = True
-                d = image[d - 1]
-            orbits.append(tuple(cycle))
-        return OrbitPartition(tuple(orbits))
+        return _cached(self, "_orbits", lambda: OrbitPartition(self.array))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitPartition:
-    """Orbits of a permutation, each cycle starting at its smallest dart.
+    """Orbits of the permutation with 0-based image array ``image``.
 
-    Orbits are ordered by smallest contained dart, which fixes the
-    vertex/hyperedge/face numbering used by every matrix in the package.
-    ``labels[d - 1]`` is the 0-based position of the orbit holding dart ``d``.
+    ``image`` must be a permutation's :attr:`Permutation.array`, as
+    :meth:`Permutation.orbits` passes it.  Orbits are ordered by smallest
+    contained dart, which fixes the vertex/hyperedge/face numbering used by
+    every matrix in the package.
+    ``array[d - 1]`` is the 0-based position of the orbit holding dart ``d``
+    (read-only ``intp``), and ``smallest`` lists the smallest dart of each
+    orbit, in orbit order.  ``labels`` (``array`` as a tuple) and ``orbits``
+    (each cycle starting at its smallest dart) are built on first read.
     """
 
-    orbits: tuple[tuple[int, ...], ...]
-    labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    image: np.ndarray = field(repr=False)
+    array: np.ndarray = field(init=False, repr=False)
+    smallest: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        n = sum(map(len, self.orbits))
-        labels = [-1] * n
-        for k, orbit in enumerate(self.orbits):
-            for d in orbit:
-                if not 1 <= d <= n or labels[d - 1] >= 0:
-                    raise ValueError(f"orbits do not partition the darts 1..{n}")
-                labels[d - 1] = k
-        object.__setattr__(self, "labels", tuple(labels))
+        # Pointer doubling: after round r >= 1, low[d] is the smallest dart
+        # among the first 2^r darts of d's cycle from d, and jump is the
+        # 2^r-th power of the permutation.  Once low is constant along the
+        # cycles, it holds each cycle's smallest dart, the d with low[d] == d.
+        image = self.image
+        darts = np.arange(image.size)
+        low, jump = np.minimum(darts, image), image[image]
+        while np.count_nonzero(low[image] != low):
+            low = np.minimum(low, low[jump])
+            jump = jump[jump]
+        first = (low == darts).nonzero()[0]
+        object.__setattr__(self, "array", _readonly(first.searchsorted(low)))
+        object.__setattr__(self, "smallest", tuple((first + 1).tolist()))
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        """``labels[d - 1]`` is the 0-based position of the orbit holding dart ``d``."""
+        return _cached(self, "_labels", lambda: tuple(self.array.tolist()))
+
+    @property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The cycles, each starting at its smallest dart, in orbit order."""
+        return _cached(self, "_orbits", self._walk_orbits)
+
+    def _walk_orbits(self) -> tuple[tuple[int, ...], ...]:
+        image = self.image.tolist()
+        orbits = []
+        for start in self.smallest:
+            cycle = [start]
+            d = image[start - 1] + 1
+            while d != start:
+                cycle.append(d)
+                d = image[d - 1] + 1
+            orbits.append(tuple(cycle))
+        return tuple(orbits)
 
     def __len__(self) -> int:
-        return len(self.orbits)
+        return len(self.smallest)
 
     def orbit_index(self, dart: int) -> int:
         """0-based position of the orbit containing ``dart``."""
-        if not 1 <= dart <= len(self.labels):
+        if not 1 <= dart <= self.array.size:
             raise ValueError(f"dart {dart} not in partition")
-        return self.labels[dart - 1]
+        return int(self.array[dart - 1])
 
 
 @dataclass(frozen=True)
@@ -265,19 +333,27 @@ class Hypermap:
         return g
 
 
-def _claim_hyperedges(edges: OrbitPartition, n: int, darts) -> dict[int, int]:
-    """``{hyperedge: dart}`` for int ``darts`` in ``1..n``, rejecting two darts on one hyperedge."""
-    claimed: dict[int, int] = {}
-    for d in darts:
+def _claim_hyperedges(edges: OrbitPartition, darts) -> tuple[list[int], np.ndarray]:
+    """Labels of ``darts`` and the hyperedge of each; no two may share a hyperedge.
+
+    Labels go through :func:`operator.index`.  On bad input ``darts`` is
+    read a second time, to name the first bad dart in the given order.
+    """
+    n = edges.array.size
+    labels = _labels_in_range(darts, n)
+    if labels is not None:
+        claimed = edges.array[np.array(labels, dtype=np.intp) - 1]
+        if np.bincount(claimed).max(initial=0) <= 1:
+            return labels, claimed
+    first: dict[int, int] = {}
+    for d in map(index, darts):
         if not 1 <= d <= n:
             raise ValueError(f"special dart {d} out of range 1..{n}")
         k = edges.orbit_index(d)
-        if k in claimed:
-            raise DuplicateHyperedgeError(
-                f"darts {claimed[k]} and {d} lie on the same hyperedge"
-            )
-        claimed[k] = d
-    return claimed
+        if k in first:
+            raise DuplicateHyperedgeError(f"darts {first[k]} and {d} lie on the same hyperedge")
+        first[k] = d
+    raise AssertionError("no bad special dart")
 
 
 def check_special_darts(H: Hypermap, S) -> tuple[int, ...]:
@@ -290,7 +366,7 @@ def check_special_darts(H: Hypermap, S) -> tuple[int, ...]:
     edges = H.hyperedges()
     if len(S) != len(edges):
         raise ValueError(f"{len(S)} special darts for {len(edges)} hyperedges")
-    _claim_hyperedges(edges, H.n_darts, S)
+    _claim_hyperedges(edges, S)
     return S
 
 
@@ -302,11 +378,12 @@ def choose_special_darts(H: Hypermap, preferred=None) -> tuple[int, ...]:
     the same hyperedge raise :class:`DuplicateHyperedgeError`.
     """
     edges = H.hyperedges()
-    chosen = [orbit[0] for orbit in edges.orbits]
-    if preferred is not None:
-        for k, d in _claim_hyperedges(edges, H.n_darts, map(index, preferred)).items():
-            chosen[k] = d
-    return tuple(chosen)
+    if preferred is None:
+        return edges.smallest
+    labels, claimed = _claim_hyperedges(edges, list(preferred))
+    chosen = np.array(edges.smallest, dtype=np.intp)
+    chosen[claimed] = labels
+    return tuple(chosen.tolist())
 
 
 # --- JSON file format ----------------------------------------------------------
@@ -324,6 +401,11 @@ def hypermap_to_json(H: Hypermap, special: tuple[int, ...] | None = None) -> dic
     return data
 
 
+# Each reader first checks the types of all labels in one pass and returns
+# the input itself; only on a bad label does it scan one label at a time,
+# to name the first one in the error.
+
+
 def _json_label(value, key: str) -> int:
     # bool is a subclass of int, and int() would truncate 1.7 or parse "3".
     if type(value) is not int:
@@ -332,12 +414,20 @@ def _json_label(value, key: str) -> int:
 
 
 def _json_labels(value, key: str) -> list[int]:
+    if type(value) is list and set(map(type, value)) <= {int}:
+        return value
     if not isinstance(value, list):
         raise ValueError(f"JSON {key!r} must be a list of integers")
     return [_json_label(x, key) for x in value]
 
 
 def _json_cycles(value, key: str) -> list[list[int]]:
+    if (
+        type(value) is list
+        and set(map(type, value)) <= {list}
+        and set(map(type, chain.from_iterable(value))) <= {int}
+    ):
+        return value
     if not isinstance(value, list):
         raise ValueError(f"JSON {key!r} must be a list of integer lists")
     return [_json_labels(cycle, key) for cycle in value]

@@ -15,9 +15,11 @@ tau-predecessor's vertex, and its faces are read off the face-boundary
 matrix ``hz`` of the canonical code
 (:func:`~hypermap_codes.chain.boundary_pair`), whose columns are the
 nonspecial darts in ascending order.  That matrix is exactly the merged-face
-boundary the drawing-based procedure produces.  :func:`intermediate_surface`
-materializes the pre-merge stage (all darts kept as edges, hyperedges as
-extra faces) for DOT export and debugging.
+boundary the drawing-based procedure produces.  Both read the hypermap's
+cached index arrays (vertex labels, ``tau^-1``) with no per-dart loop, and
+:func:`surface_code` fills its incidence matrices with fancy-indexed XORs.
+:func:`intermediate_surface` materializes the pre-merge stage (all darts
+kept as edges, hyperedges as extra faces) for DOT export and debugging.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from operator import index
+from itertools import chain
+from operator import index, itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from ._jsonfmt import compact_json
-from .chain import boundary_pair, nonspecial_darts
+from .chain import _nonspecial, boundary_pair
 from .css import CodeParams, CssCode, params, stabilizer_equal
 from .hypermap import Hypermap, NotConnectedError, Permutation, _json_fields, choose_special_darts
 
@@ -71,7 +74,7 @@ class SurfaceGraph:
 
     @property
     def edge_labels(self) -> tuple[int, ...]:
-        return tuple(sorted(label for _, _, label in self.edges))
+        return tuple(sorted(map(itemgetter(2), self.edges)))
 
 
 @dataclass(frozen=True)
@@ -159,16 +162,16 @@ def surface_code(G: SurfaceGraph) -> CssCode:
     and cancel to a zero column) and ``hz`` the face-edge incidence matrix;
     columns are ordered by ascending edge label.
     """
-    labels = G.edge_labels
-    col = {label: k for k, label in enumerate(labels)}
-    hx = np.zeros((G.vertex_count, len(labels)), dtype=np.uint8)
-    for a, b, label in G.edges:
-        hx[a - 1, col[label]] ^= 1
-        hx[b - 1, col[label]] ^= 1
-    hz = np.zeros((len(G.faces), len(labels)), dtype=np.uint8)
-    for f, face in enumerate(G.faces):
-        for label in face:
-            hz[f, col[label]] = 1
+    m = len(G.edges)
+    column = dict(zip(G.edge_labels, range(m))).__getitem__
+    hx = np.zeros((G.vertex_count, m), dtype=np.uint8)
+    cols = np.fromiter(map(column, map(itemgetter(2), G.edges)), np.intp, m)
+    hx[np.fromiter(map(itemgetter(0), G.edges), np.intp, m) - 1, cols] = 1
+    hx[np.fromiter(map(itemgetter(1), G.edges), np.intp, m) - 1, cols] ^= 1  # a loop cancels
+    hz = np.zeros((len(G.faces), m), dtype=np.uint8)
+    sizes = list(map(len, G.faces))
+    rows = np.arange(len(G.faces)).repeat(sizes)
+    hz[rows, np.fromiter(map(column, chain.from_iterable(G.faces)), np.intp, sum(sizes))] = 1
     return CssCode(hx, hz)
 
 
@@ -191,17 +194,19 @@ def _surface_from_code(H: Hypermap, S: tuple[int, ...], code: CssCode) -> Surfac
     Column ``k`` of the code is the ``k``-th dart of :func:`nonspecial_darts`,
     which becomes the edge label.
     """
-    vertex = H.vertices().labels
-    tau_inv = H.tau.inverse().image
-    basis = nonspecial_darts(H, S)
-    edges = tuple((vertex[d - 1] + 1, vertex[tau_inv[d - 1] - 1] + 1, d) for d in basis)
-    rows, cols = np.nonzero(code.hz)  # row-major, so grouped by face
-    labels = np.array(basis)[cols]
-    bounds = np.searchsorted(rows, np.arange(code.hz.shape[0] + 1))
-    faces = tuple(
-        frozenset(labels[lo:hi].tolist()) for lo, hi in zip(bounds[:-1], bounds[1:])
-    )
-    return SurfaceGraph(len(H.vertices()), edges, faces)
+    darts = _nonspecial(H.n_darts, S)
+    rows, cols = code.hz.nonzero()  # row-major, so grouped by face
+    labels = (darts[cols] + 1).tolist()
+    bounds = rows.searchsorted(np.arange(code.hz.shape[0] + 1)).tolist()
+    faces = tuple(frozenset(labels[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return SurfaceGraph(len(H.vertices()), _dart_edges(H, darts), faces)
+
+
+def _dart_edges(H: Hypermap, darts: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(vertex of d, vertex of tau^-1(d), d)`` (1-based) for the 0-based ``darts``."""
+    vertex = H.vertices().array
+    ends = (vertex[darts], vertex[H.tau.inverse().array[darts]], darts)
+    return list(zip(*((end + 1).tolist() for end in ends)))
 
 
 def intermediate_surface(H: Hypermap) -> SurfaceGraph:
@@ -211,14 +216,9 @@ def intermediate_surface(H: Hypermap) -> SurfaceGraph:
     its darts, whatever the special darts; deleting the special edges of a
     choice and merging across them yields :func:`hypermap_to_surface`.
     """
-    vertex = H.vertices().labels
-    tau_inv = H.tau.inverse().image
-    edges = tuple(
-        (vertex[d - 1] + 1, vertex[tau_inv[d - 1] - 1] + 1, d) for d in range(1, H.n_darts + 1)
-    )
     faces = [frozenset(orbit) for orbit in H.faces().orbits]
     faces += [frozenset(orbit) for orbit in H.hyperedges().orbits]
-    return SurfaceGraph(len(H.vertices()), edges, tuple(faces))
+    return SurfaceGraph(len(H.vertices()), _dart_edges(H, np.arange(H.n_darts)), tuple(faces))
 
 
 def graph_to_hypermap(G: RotationGraph) -> tuple[Hypermap, tuple[int, ...]]:

@@ -65,6 +65,42 @@ def test_info_unlisted_darts_exit_2_without_allocating(tmp_path, capsys, darts):
     )
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param({"darts": 2, "sigma": [[1, 10**30]], "tau": []}, f"cycle entry {10**30} out of range 1..2", id="huge"),
+        pytest.param({"darts": 2, "sigma": [[1, 2, -5]], "tau": []}, "cycle entry -5 out of range 1..2", id="negative"),
+        pytest.param({"darts": 2, "sigma": [[1, 2]], "tau": [[0, 1]]}, "cycle entry 0 out of range 1..2", id="zero"),
+        pytest.param({"darts": 2, "sigma": [[1, 2, 2**63]], "tau": []}, f"cycle entry {2**63} out of range 1..2", id="2**63"),
+        pytest.param({"darts": 2, "sigma": [[2**64, 1, 2]], "tau": []}, f"cycle entry {2**64} out of range 1..2", id="2**64"),
+        pytest.param(
+            {"darts": 2, "sigma": [[1, 2]], "tau": [], "special": [10**30]},
+            f"special dart {10**30} out of range 1..2",
+            id="special-huge",
+        ),
+        pytest.param({"darts": 2, "sigma": [[1, True]], "tau": []}, "JSON 'sigma' holds True, expected an integer", id="bool"),
+        pytest.param(
+            {"darts": 4, "sigma": [[1, 2, 3, 4]], "tau": [[3, 4], [4, 1], [1, 3]]},
+            "label 4 appears in two cycles",
+            id="repeated",
+        ),
+        pytest.param(
+            {"darts": 4, "sigma": [[1, 2, 3, 4]], "tau": [[1, 2], [3, 4]], "special": [2, 1, 10**30]},
+            "darts 2 and 1 lie on the same hyperedge",
+            id="special-repeated-before-huge",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["info", "verify"])
+def test_bad_labels_exit_2_with_one_line(tmp_path, capsys, command, data, message):
+    # Labels are range-checked as Python ints before any array is built, so
+    # a label past int64 is a one-line error, not an OverflowError.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_info_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -311,3 +347,13 @@ def test_row_space_diff_eliminates_each_side_once(monkeypatch, capsys):
     cli._print_row_space_diff(a, b)
     assert capsys.readouterr().out.splitlines() == COMPARE_LINES[1:]
     assert len(calls) <= 4
+
+
+def test_build_distance_eliminates_each_sector_once(monkeypatch, capsys):
+    # k and the oracle's reducers share one elimination of hx and of hz; the
+    # third elimination is one sector's kernel basis.
+    forward, rows = gf2._forward, []
+    monkeypatch.setattr(gf2, "_forward", lambda packed: rows.append(len(packed)) or forward(packed))
+    assert main(["build", TORUS, "--distance"]) == 0
+    assert capsys.readouterr().out.startswith("n=6 k=2 d=2 dx=2 dz=2\n")
+    assert rows == [2, 4, 6]

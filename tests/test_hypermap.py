@@ -23,8 +23,87 @@ from util import (
     random_permutation,
     random_sparse_permutation,
     reference_components,
+    reference_inverse,
+    reference_orbits,
+    reference_product,
     torus_hypermap,
 )
+
+
+def permutations_to_cross_check():
+    """Identities, fixed points, random permutations and long cycles.
+
+    The doubling rounds of :class:`OrbitPartition` grow with the longest
+    cycle, so cycles of length ``2^k`` and ``2^k + 1`` and one 2,000-dart
+    cycle are included.
+    """
+    rng = random.Random(409)
+    perms = [Permutation.identity(n) for n in (1, 2, 5)]
+    perms += [random_sparse_permutation(rng, n) for n in (3, 8, 20, 64) for _ in range(3)]
+    perms += [random_permutation(rng, n) for n in (2, 3, 7, 16, 33, 100, 257) for _ in range(2)]
+    for length in (2, 3, 4, 5, 8, 9, 16, 17, 1024, 1025, 2000):
+        darts = list(range(1, length + 1))
+        rng.shuffle(darts)
+        perms.append(Permutation.from_cycles([darts], length))
+    # Cycles of many lengths at once, with fixed points between them.
+    darts = list(range(1, 301))
+    rng.shuffle(darts)
+    cycles, k = [], 0
+    for length in (1, 2, 3, 40, 7, 129, 1, 64):
+        cycles.append(darts[k : k + length])
+        k += length
+    perms.append(Permutation.from_cycles(cycles, 300))
+    return perms
+
+
+def test_orbits_match_cycle_walk():
+    for p in permutations_to_cross_check():
+        labels, orbits = reference_orbits(p)
+        parts = Permutation(p.image).orbits()  # a fresh object, nothing cached
+        assert parts.labels == labels and {type(x) for x in parts.labels} <= {int}
+        assert parts.array.tolist() == list(labels) and not parts.array.flags.writeable
+        assert parts.orbits == orbits
+        assert len(parts) == len(orbits)
+        assert parts.smallest == tuple(orbit[0] for orbit in orbits)
+        assert [parts.orbit_index(d) for d in range(1, p.n + 1)] == list(labels)
+
+
+def test_inverse_and_product_match_reference():
+    rng = random.Random(419)
+    for p in permutations_to_cross_check():
+        q = random_permutation(rng, p.n)
+        for r, image in ((p.inverse(), reference_inverse(p)), (p * q, reference_product(p, q))):
+            assert r.image == image and {type(x) for x in r.image} == {int}
+            assert r == Permutation(image) and hash(r) == hash(Permutation(image))
+            assert r.array.tolist() == [x - 1 for x in image] and not r.array.flags.writeable
+
+
+def test_from_cycles_matches_reference():
+    rng = random.Random(421)
+    for p in permutations_to_cross_check():
+        _, orbits = reference_orbits(p)
+        cycles = [list(orbit) for orbit in orbits if len(orbit) > 1 or rng.random() < 0.3]
+        rng.shuffle(cycles)
+        cycles.insert(rng.randint(0, len(cycles)), [])  # an empty cycle changes nothing
+        assert Permutation.from_cycles(cycles, p.n) == p
+        assert Permutation.from_cycles(cycles, p.n).array.tolist() == [x - 1 for x in p.image]
+
+
+@pytest.mark.parametrize(
+    "cycles, error, message",
+    [
+        ([[1, 5], [1.5]], ValueError, r"^cycle entry 5 out of range 1\.\.3$"),
+        ([[1, 2], [1.5, 9]], TypeError, "float"),
+        ([[1, 2], [3, 2, 9]], NotBijectiveError, r"^label 2 appears in two cycles$"),
+        ([[1, 2, 1], [9]], NotBijectiveError, r"^label 1 appears in two cycles$"),
+        ([[3], [10**30, 3]], ValueError, rf"^cycle entry {10**30} out of range 1\.\.3$"),
+        ([[2**64, 1]], ValueError, rf"^cycle entry {2**64} out of range 1\.\.3$"),
+    ],
+    ids=["range-before-type", "type-in-order", "repeat-before-range", "repeat-in-one-cycle", "huge", "2**64"],
+)
+def test_from_cycles_names_first_bad_entry_in_reading_order(cycles, error, message):
+    with pytest.raises(error, match=message):
+        Permutation.from_cycles(cycles, 3)
 
 
 def test_identity_orbits():
@@ -223,6 +302,17 @@ def test_special_dart_errors_same_for_check_and_choose(darts, error, message):
         check_special_darts(H, darts)
     with pytest.raises(error, match=message):
         choose_special_darts(H, preferred=darts)
+
+
+def test_preferred_darts_are_checked_in_order():
+    # A bad label is named only once the darts before it have passed.
+    H, _ = torus_hypermap()
+    with pytest.raises(ValueError, match=r"^special dart 99 out of range 1\.\.8$"):
+        choose_special_darts(H, preferred=[99, 1.5])
+    with pytest.raises(DuplicateHyperedgeError, match=r"^darts 1 and 2 lie on the same hyperedge$"):
+        choose_special_darts(H, preferred=iter([1, 2, 10**30]))
+    with pytest.raises(TypeError):
+        choose_special_darts(H, preferred=[1, 1.5, 2])
 
 
 def test_check_special_darts_needs_one_per_hyperedge():

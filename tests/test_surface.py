@@ -40,6 +40,7 @@ from util import (
     random_rotation_graph,
     random_special_darts,
     reference_boundary_rows,
+    reference_surface_code,
     torus_hypermap,
 )
 
@@ -159,6 +160,8 @@ def test_hypermap_to_surface_matches_reference_rows():
         faces = tuple(frozenset(basis[k] for k in np.flatnonzero(row)) for row in p2)
         G = hypermap_to_surface(H, S)
         assert G == SurfaceGraph(len(H.vertices()), edges, faces)
+        all_edges = tuple((vertex[d], vertex[tau_pred[d]], d) for d in range(1, H.n_darts + 1))
+        assert intermediate_surface(H).edges == all_edges
         one_dart_edges += sum(len(e) == 1 for e in H.hyperedges().orbits)
         loops += sum(a == b for a, b, _ in G.edges)
     assert one_dart_edges and loops
@@ -248,6 +251,27 @@ def test_incidence_columns_have_weight_zero_or_two():
         for k, label in enumerate(G.edge_labels):
             weight = int(code.hx[:, k].sum())
             assert weight == (0 if label in loops else 2)
+
+
+def test_surface_code_matches_entry_by_entry_reference():
+    rng = random.Random(83)
+    graphs = [rotation_to_surface(toric_rotation_graph(3, 3)), intermediate_surface(torus_hypermap()[0])]
+    graphs += [hypermap_to_surface(random_hypermap(rng, 1, 30)) for _ in range(20)]
+    graphs += [intermediate_surface(random_hypermap(rng, 1, 30)) for _ in range(10)]
+    graphs += [rotation_to_surface(random_rotation_graph(rng)) for _ in range(20)]
+    # Edges out of label order, labels past int64, a loop and an edge in no face.
+    big = 10**30
+    graphs.append(
+        SurfaceGraph(3, ((2, 3, big), (1, 1, 7), (1, 2, 2), (3, 1, 5)), (frozenset({big, 2, 5}), frozenset({big, 2, 5})))
+    )
+    graphs.append(SurfaceGraph(2, (), (frozenset(),)))
+    loops = 0
+    for G in graphs:
+        code = surface_code(G)
+        hx, hz = reference_surface_code(G)
+        assert np.array_equal(code.hx, hx) and np.array_equal(code.hz, hz)
+        loops += sum(a == b for a, b, _ in G.edges)
+    assert loops
 
 
 def test_toric_rotation_graph_faces():

@@ -64,6 +64,55 @@ def reference_components(sigma, tau):
     return [find(x) for x in range(sigma.n)]
 
 
+def reference_orbits(p):
+    """``(labels, orbits)`` of a permutation by walking each cycle from its smallest dart.
+
+    The plain-Python reference for :class:`OrbitPartition`: darts are
+    visited in ascending order, so each new cycle starts at its smallest
+    dart and cycles are numbered in that order.
+    """
+    labels = [-1] * p.n
+    orbits = []
+    for start in range(1, p.n + 1):
+        if labels[start - 1] >= 0:
+            continue
+        cycle, d = [], start
+        while labels[d - 1] < 0:
+            labels[d - 1] = len(orbits)
+            cycle.append(d)
+            d = p.image[d - 1]
+        orbits.append(tuple(cycle))
+    return tuple(labels), tuple(orbits)
+
+
+def reference_inverse(p):
+    """Image tuple of ``p^-1``, one dart at a time."""
+    inv = [0] * p.n
+    for d, img in enumerate(p.image, start=1):
+        inv[img - 1] = d
+    return tuple(inv)
+
+
+def reference_product(p, q):
+    """Image tuple of ``p * q`` (``q`` first), one dart at a time."""
+    return tuple(p.image[q.image[d] - 1] for d in range(p.n))
+
+
+def reference_surface_code(G):
+    """``(hx, hz)`` of :func:`surface_code`, one matrix entry at a time."""
+    labels = G.edge_labels
+    col = {label: k for k, label in enumerate(labels)}
+    hx = np.zeros((G.vertex_count, len(labels)), dtype=np.uint8)
+    for a, b, label in G.edges:
+        hx[a - 1, col[label]] ^= 1
+        hx[b - 1, col[label]] ^= 1
+    hz = np.zeros((len(G.faces), len(labels)), dtype=np.uint8)
+    for f, face in enumerate(G.faces):
+        for label in face:
+            hz[f, col[label]] = 1
+    return hx, hz
+
+
 def random_hypermap(rng, min_darts=2, max_darts=20):
     """A random connected hypermap (retry until the pair acts transitively)."""
     while True:
