@@ -1,10 +1,10 @@
 """Benchmark of the distance oracle on codes of increasing difficulty.
 
 Each case is timed through ``distance_split``, best of ``--repeats`` runs.
-The shallow cases end in the weight-ordered loop; the deep case is the
-[[23,1,7]] CSS code built from the binary Golay code, whose search switches
-to enumerating the kernel after weight 3 and finds its logical operators at
-weight 7.
+The shallow cases end in the weight-ordered meet-in-the-middle search; the
+deep case is the [[23,1,7]] CSS code built from the binary Golay code, whose
+search switches to enumerating the kernel after weight 3 and finds its
+logical operators at weight 7.
 
 Run:  python3 benchmarks/bench_distance.py [--repeats N]
 """

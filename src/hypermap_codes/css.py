@@ -181,23 +181,25 @@ def format_stabilizer(code: CssCode) -> str:
 
 
 def parse_stabilizer(text: str) -> CssCode:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    # Each section keeps its blank lines: they are the rows of a matrix with
+    # no columns (see gf2.parse_matrix).
     blocks: dict[str, list[str]] = {}
     current: list[str] | None = None
-    for ln in lines:
-        if ln in ("Hx", "Hz"):
-            if ln in blocks:
-                raise ValueError(f"duplicate {ln} section")
-            current = blocks.setdefault(ln, [])
-        elif current is None:
-            raise ValueError(f"unexpected line {ln!r} before Hx/Hz section")
-        else:
+    for ln in text.splitlines(keepends=True):
+        name = ln.strip()
+        if name in ("Hx", "Hz"):
+            if name in blocks:
+                raise ValueError(f"duplicate {name} section")
+            current = blocks.setdefault(name, [])
+        elif current is not None:
             current.append(ln)
+        elif name:
+            raise ValueError(f"unexpected line {name!r} before Hx/Hz section")
     for name in ("Hx", "Hz"):
         if name not in blocks:
             raise ValueError(f"missing {name} section")
-    hx = gf2.parse_matrix("\n".join(blocks["Hx"]))
-    hz = gf2.parse_matrix("\n".join(blocks["Hz"]))
+    hx = gf2.parse_matrix("".join(blocks["Hx"]))
+    hz = gf2.parse_matrix("".join(blocks["Hz"]))
     return CssCode(hx, hz)
 
 

@@ -6,18 +6,27 @@ the mirror image; inputs are guarded at ``n <= 24`` qubits.
 :func:`distance_split` is the one entry point, and it eliminates ``hx``
 and ``hz`` once each (:func:`~hypermap_codes.gf2.row_basis`).
 
-Each sector runs one exact search that switches strategy by cost.  It first
-scans Hamming weights in ascending order (every ``w``-subset of the packed
-check columns, stopping at the first weight class holding a logical operator)
-for as long as the cumulative candidate count ``C(n, 1) + ... + C(n, w)``
-stays at or below ``2^dim ker(H)``.  Past that weight it enumerates all of
-``ker(H)`` in numpy instead, from the basis of one elimination over the
-columns: an XOR table over the low basis vectors is XORed with each
-combination of the high ones, chunk by chunk, and the minimum popcount is
-taken over the vectors outside the excluded row space.
+A code with ``k = n - rank(hx) - rank(hz) = 0`` has no logical operators;
+:func:`distance_split` reads that from the two ranks and raises before any
+search.  Otherwise each sector runs one exact search that switches strategy
+by cost.  It first scans Hamming weights in ascending order, stopping at
+the first weight class holding a logical operator, for as long as the
+cumulative count ``C(n, 1) + ... + C(n, w)`` of ``w``-subsets stays at or
+below ``2^dim ker(H)``.  The scan meets in the middle: a weight-``w`` kernel
+vector is an ``a``-subset and a ``b``-subset of check columns with equal
+syndromes (``a = w // 2``, ``b = w - a``), so each weight costs about
+``C(n, ceil(w/2))`` dictionary steps, and the subset count of the rule
+overstates the work; the rule is kept as a conservative bound.  Past that
+weight it enumerates all of ``ker(H)`` in numpy instead, from the basis of
+one elimination over the columns: an XOR table over the low basis vectors
+is XORed with each combination of the high ones, chunk by chunk, and the
+minimum popcount is taken over the vectors outside the excluded row space.
 Both strategies are exact, so the rule decides speed only: shallow codes
-stop in the weight loop, deep ones (the ``[[23,1,7]]`` Golay code switches
-after ``w = 3``) pay ``2^dim ker(H)`` vectorised steps.
+stop in the weight scan, deep ones (the ``[[23,1,7]]`` Golay code switches
+after ``w = 3``) pay ``2^dim ker(H)`` vectorised steps.  With ``k >= 1``
+each sector has a logical of weight at most ``rank + 1`` (a reduced-echelon
+kernel basis vector), so within the ``n <= 24`` guard no stored level of
+the scan exceeds ``C(24, 3) = 2024`` subsets.
 
 :func:`distance_exhaustive` is a full-enumeration implementation kept for
 cross-checking the oracle's search on small codes.
@@ -26,7 +35,6 @@ cross-checking the oracle's search on small codes.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -60,28 +68,58 @@ def _kernel_vectors(cols, rows: int) -> list[int]:
 
 
 def _weight_search(cols, reducer, max_weight: int) -> int:
-    """Smallest logical weight ``w <= max_weight``, or 0 if there is none."""
+    """Smallest logical weight ``w <= max_weight``, or 0 if there is none.
+
+    Meet in the middle: a kernel vector of weight ``w`` splits into an
+    ``a``-subset and a ``b``-subset of columns with equal syndromes, where
+    ``a = w // 2`` and ``b = w - a``.  ``first[i]`` maps the syndrome of each
+    ``i``-subset to the support of the first such subset.  At odd ``w``,
+    level ``b`` is built from level ``b - 1`` (each subset extended by the
+    columns past its last one) and every new subset is looked up in
+    ``first[a]``; at even ``w``, the subsets of level ``b`` whose syndrome
+    was already in ``first[b]`` when they were built are paired with that
+    first subset.  A pair whose support XOR reduces to nonzero is a logical
+    of weight at most ``w``, and every lighter weight has been ruled out, so
+    the search returns ``w``.  An overlapping pair XORs to a lighter kernel
+    vector, which therefore lies in the excluded row space: no overlap test
+    is needed, and ``gf2._reduce`` runs only when two syndromes collide.
+    """
     n = len(cols)
+    level = [(0, 0, 0)]  # (syndrome, support, first column to extend by)
+    first = [{0: 0}]
+    collisions: list[tuple[int, int]] = []  # level subsets paired with first[b]
     for w in range(1, max_weight + 1):
-        for combo in combinations(range(n), w):
-            syndrome = 0
-            for j in combo:
-                syndrome ^= cols[j]
-            if syndrome:
-                continue
-            v = 0
-            for j in combo:
-                v |= 1 << j
-            if gf2._reduce(v, *reducer):
-                return w
+        if w % 2 == 0:
+            for v, u in collisions:
+                if gf2._reduce(v ^ u, *reducer):
+                    return w
+            continue
+        lookup = first[w // 2].get
+        keep = w < max_weight  # the last level is looked up, not stored
+        table: dict[int, int] = {}
+        extended, collisions = [], []
+        for syndrome, support, start in level:
+            for j in range(start, n):
+                s = syndrome ^ cols[j]
+                u = lookup(s)
+                if u is not None and gf2._reduce((support | 1 << j) ^ u, *reducer):
+                    return w
+                if keep:
+                    v = support | 1 << j
+                    u = table.setdefault(s, v)
+                    if u != v:
+                        collisions.append((v, u))
+                    extended.append((s, v, j + 1))
+        first.append(table)
+        level = extended
     return 0
 
 
 def _span(vectors) -> np.ndarray:
     """All ``2^len(vectors)`` XOR combinations; bit ``i`` of the index selects ``vectors[i]``."""
-    table = np.zeros(1, dtype=np.uint64)
-    for v in vectors:
-        table = np.concatenate([table, table ^ np.uint64(v)])
+    table = np.zeros(1 << len(vectors), dtype=np.uint64)
+    for i, v in enumerate(vectors):
+        np.bitwise_xor(table[: 1 << i], np.uint64(v), out=table[1 << i : 2 << i])
     return table
 
 
@@ -116,9 +154,10 @@ def _sector_min_weight(stab, rank: int, reducer) -> int:
     pivot bit, a linear map that is 0 exactly on the excluded row space.
     ``cols[j]`` packs column ``j`` of ``stab``, so a set of columns XORs to
     0 exactly when its indicator vector is in ``ker(H)``.  Returns 0 when
-    no such vector exists.  The weight loop runs through the largest ``w``
-    with ``C(n, 1) + ... + C(n, w) <= 2^dim ker(H)``; if it finds nothing,
-    the kernel is enumerated.
+    no such vector exists.  The weight search runs through the largest ``w``
+    with ``C(n, 1) + ... + C(n, w) <= 2^dim ker(H)``, a conservative bound on
+    its meet-in-the-middle cost; if it finds nothing, the kernel is
+    enumerated.
     """
     cols = gf2._pack_rows(stab.T)
     n, budget = len(cols), 1 << (len(cols) - rank)
@@ -147,6 +186,8 @@ def distance_split(code, bases=None) -> tuple[int, int]:
             f"{n} qubits exceed the n <= {MAX_ORACLE_QUBITS} brute-force guard"
         )
     bx, bz = bases or (gf2.row_basis(code.hx), gf2.row_basis(code.hz))
+    if n - len(bx[0]) - len(bz[0]) == 0:
+        raise NoLogicalOperatorError("code has no logical operators (k = 0)")
     dz = _default_kernel(code.hx, len(bx[0]), bz)
     dx = _default_kernel(code.hz, len(bz[0]), bx)
     if (dx == 0) != (dz == 0):

@@ -325,17 +325,25 @@ def parse_matrix(text: str) -> np.ndarray:
     """Parse the plain-text matrix format.
 
     The header must be two ASCII digit strings.  Row and entry counts are
-    checked against it before anything is allocated.
+    checked against it before anything is allocated.  A row of no entries
+    is an empty line, so a matrix with no columns has no row lines, and
+    its row count is checked against the blank lines instead.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    raw = text.splitlines()
+    lines = [ln.strip() for ln in raw if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError(f"bad matrix header {lines[0]!r}, expected 'rows cols'")
     rows, cols = (_header_count(tok, lines[0]) for tok in header)
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} matrix rows, found {len(lines) - 1}")
+    found = len(lines) - 1
+    if cols == 0 and found == 0:
+        found = len(raw) - 1
+        if found >= rows:
+            return np.zeros((rows, 0), dtype=np.uint8)
+    if found != rows:
+        raise ValueError(f"expected {rows} matrix rows, found {found}")
     entries = [line.split() for line in lines[1:]]
     for r, row in enumerate(entries):
         if len(row) != cols:

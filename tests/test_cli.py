@@ -311,6 +311,18 @@ def test_distance_guard_exit_2(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_zero_qubit_stabilizer_file_round_trips(tmp_path, capsys):
+    one_dart, stab = tmp_path / "one.json", tmp_path / "stab.txt"
+    one_dart.write_text(json.dumps({"darts": 1, "sigma": [], "tau": []}))
+    assert main(["build", str(one_dart), "--out", str(stab)]) == 0
+    assert stab.read_text() == "Hx\n1 0\n\nHz\n1 0\n\n"
+    capsys.readouterr()
+    assert main(["compare", str(stab), str(stab)]) == 0
+    assert capsys.readouterr() == ("equal=true\n", "")
+    assert main(["distance", str(stab)]) == 2
+    assert capsys.readouterr() == ("", "error: code has no logical operators (k = 0)\n")
+
+
 # The canonical torus code (special darts 3, 7) against its basis change.
 COMPARE_LINES = [
     "equal=false",

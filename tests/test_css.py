@@ -327,6 +327,15 @@ def test_stabilizer_file_round_trip():
     assert np.array_equal(parsed.hz, code.hz)
 
 
+def test_zero_qubit_stabilizer_file_round_trip():
+    # Each row of a matrix with no columns is an empty line, which the parser counts.
+    code = CssCode(np.zeros((3, 0), dtype=np.uint8), np.zeros((1, 0), dtype=np.uint8))
+    text = format_stabilizer(code)
+    assert text == "Hx\n3 0\n\n\n\nHz\n1 0\n\n"
+    parsed = parse_stabilizer(text)
+    assert parsed.hx.shape == (3, 0) and parsed.hz.shape == (1, 0)
+
+
 def test_parse_stabilizer_requires_both_sections():
     with pytest.raises(ValueError):
         parse_stabilizer("Hx\n1 1\n1\n")

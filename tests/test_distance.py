@@ -18,7 +18,14 @@ from hypermap_codes import (
     transform,
 )
 from hypermap_codes import distance, gf2
-from util import golay_css, random_css_code, reference_row_echelon, torus_hypermap
+from util import (
+    golay_css,
+    random_css_code,
+    random_invertible,
+    reference_row_echelon,
+    reference_weight_search,
+    torus_hypermap,
+)
 
 
 def torus_code():
@@ -134,6 +141,67 @@ def test_strategies_agree_on_random_sectors(monkeypatch, table_bits, chunk_words
         expected = distance._weight_search(cols, reducer, n)
         assert distance._kernel_search(gf2._pack_rows(gf2.kernel_basis(stab)), reducer) == expected
         assert sector_min_weight(stab, excl) == expected
+
+
+def test_weight_search_matches_reference():
+    # Meet in the middle against the scan of every w-subset, at full and at random depth.
+    # Excluded rows are partly drawn from ker(H), as in a CSS code, so that
+    # syndrome collisions inside the excluded row space occur.
+    rng = np.random.default_rng(149)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        stab = (rng.random((rng.integers(0, 8), n)) < rng.choice([0.2, 0.5])).astype(np.uint8)
+        K = gf2.kernel_basis(stab)
+        excl = np.vstack([
+            gf2.mul(rng.integers(0, 2, (rng.integers(0, 6), len(K)), dtype=np.uint8), K),
+            rng.integers(0, 2, (rng.integers(0, 2), n), dtype=np.uint8),
+        ])
+        cols, reducer = gf2._pack_rows(stab.T), gf2.row_basis(excl)
+        expected = reference_weight_search(cols, reducer, n)
+        assert distance._weight_search(cols, reducer, n) == expected
+        depth = int(rng.integers(0, n + 1))
+        assert distance._weight_search(cols, reducer, depth) == (expected if expected <= depth else 0)
+
+
+def random_code_with_logicals(rng, n, k):
+    """A random CSS code on ``n`` qubits with ``k`` logicals: ``hz`` drawn from ``ker(hx)``."""
+    hx = rng.integers(0, 2, (int(rng.integers(n // 3, (2 * n) // 3 - k)), n), dtype=np.uint8)
+    K = gf2.kernel_basis(hx)
+    while True:
+        hz = gf2.mul(rng.integers(0, 2, (n - gf2.rank(hx) - k, len(K)), dtype=np.uint8), K)
+        if gf2.rank(hz) == len(hz):
+            return CssCode(hx, hz)
+
+
+def test_strategies_agree_past_exhaustion_guard():
+    # Forced weight search against forced kernel enumeration in both sectors,
+    # n = 17-24, where distance_exhaustive does not reach.
+    rng = np.random.default_rng(151)
+    codes = [random_code_with_logicals(rng, int(rng.integers(17, 25)), int(rng.integers(1, 4))) for _ in range(24)]
+    toric = surface_code(rotation_to_surface(toric_rotation_graph(3, 4)))
+    codes += [golay_css(), toric]
+    basis_rng = random.Random(151)
+    codes += [transform(code, random_invertible(basis_rng, code.n)) for code in codes[-2:]]
+    distances = set()
+    for code in codes:
+        dx, dz = forced_split(code, "weight")
+        assert dx and dz
+        assert (dx, dz) == forced_split(code, "kernel")
+        distances |= {dx, dz}
+    assert distances >= {1, 2, 3, 4, 7}
+
+
+def test_no_logicals_read_from_the_ranks(monkeypatch):
+    calls = []
+    monkeypatch.setattr(distance, "_default_kernel", lambda *args: calls.append(args) or 1)
+    code = CssCode(np.zeros((0, 24), dtype=np.uint8), gf2.identity(24))
+    with pytest.raises(NoLogicalOperatorError, match=r"\(k = 0\)"):
+        distance_split(code)
+    assert calls == []
+    # The size guard still runs first.
+    big = CssCode(np.zeros((0, 25), dtype=np.uint8), gf2.identity(25))
+    with pytest.raises(CodeTooLargeError):
+        distance_split(big)
 
 
 def test_kernel_vectors_span_kernel():

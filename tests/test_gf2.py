@@ -245,8 +245,7 @@ def test_format_matrix_matches_row_by_row_text():
         lines = [f"{rows} {cols}"] + [" ".join(map(str, row)) for row in M.tolist()]
         text = gf2.format_matrix(M)
         assert text == "\n".join(lines) + "\n"
-        if cols or not rows:  # a row of no entries is a blank line, which the parser skips
-            assert np.array_equal(gf2.parse_matrix(text), M)
+        assert np.array_equal(gf2.parse_matrix(text), M)
 
 
 def test_parse_matrix_ignores_blank_lines_and_spacing():
@@ -270,6 +269,12 @@ def test_parse_matrix_ignores_blank_lines_and_spacing():
         ("2 2\n0 1\n1 01\n", "bad matrix entry '01' in row 2"),
         ("2 2\n0 1\n1 \u0661\n", "bad matrix entry '\u0661' in row 2"),
         ("1 2\n0 2\n", "bad matrix entry '2' in row 1"),
+        # A row of no entries is a blank line, so a header with no columns
+        # is checked against the blank lines, and a huge one is caught.
+        ("1 0\n0\n", "row 1 has 1 entries, expected 0"),
+        ("2 0\n\n0\n", "expected 2 matrix rows, found 1"),
+        ("3 0\n\n", "expected 3 matrix rows, found 1"),
+        ("1000000000000 0\n\n\n", "expected 1000000000000 matrix rows, found 2"),
     ],
 )
 def test_parse_matrix_error_messages(text, message):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,28 @@ def random_rotation_graph(rng, max_edges=8):
         rng.shuffle(ends)
         rotation.append(tuple(ends))
     return RotationGraph(n_vertices, tuple(edges), tuple(rotation))
+
+
+def reference_weight_search(cols, reducer, max_weight):
+    """Smallest logical weight ``w <= max_weight``, or 0, by scanning every ``w``-subset.
+
+    The plain reference for ``distance._weight_search``: a subset of the
+    packed columns ``cols`` whose XOR is 0 is a kernel vector, and it is a
+    logical when ``gf2._reduce`` by ``reducer`` leaves its support nonzero.
+    """
+    for w in range(1, max_weight + 1):
+        for combo in combinations(range(len(cols)), w):
+            syndrome = 0
+            for j in combo:
+                syndrome ^= cols[j]
+            if syndrome:
+                continue
+            v = 0
+            for j in combo:
+                v |= 1 << j
+            if gf2._reduce(v, *reducer):
+                return w
+    return 0
 
 
 def golay_css():
