@@ -1,9 +1,10 @@
-"""GF(2) linear algebra on numpy uint8 matrices, eliminating on packed rows.
+"""GF(2) linear algebra on numpy uint8 matrices, eliminating on packed ints.
 
 Matrices are plain ``numpy.ndarray`` objects with dtype uint8 and entries in
-{0, 1}; all arithmetic is mod 2.  Elimination (``row_echelon``, ``rank``,
-``invert``, row-space membership) packs each row into a Python int once per
-matrix and works by int XOR; products go through BLAS (:func:`mul`).
+{0, 1}; all arithmetic is mod 2.  Every elimination (``row_echelon``,
+``rank``, ``invert``, row-space membership, CNOT synthesis) packs each row
+(each column, for synthesis) into a Python int once per matrix and works by
+int XOR; products go through BLAS (:func:`mul`).
 
 The row-space API is one pair: :func:`row_basis` eliminates a matrix once
 into its echelon basis, whose size is the rank, and :func:`rows_outside`
@@ -258,38 +259,31 @@ def decompose_elementary(T) -> np.ndarray:
     if M.shape[1] != n:
         raise ValueError(f"matrix is {M.shape[0]}x{M.shape[1]}, not square")
 
-    # Column c of M is row c of C, so a column addition is one contiguous XOR.
-    # Factor k adds column sources[k] into column targets[k] (0-based); each
-    # step appends one source and the array of its targets.
-    C = np.array(M.T, order="C")
-    sources: list[int] = []
-    targets: list[np.ndarray] = []
+    # Column c of M is the int cols[c], bit r being M[r, c], so a column
+    # addition is one int XOR.  Factor k adds column pairs[2k] into column
+    # pairs[2k + 1] (0-based).
+    cols = _pack_rows(M.T)
+    pairs: list[int] = []
     for i in range(n):
-        if C[i, i] == 0:
-            hits = np.flatnonzero(C[i + 1 :, i])
-            if hits.size == 0:
+        bit = 1 << i
+        if not cols[i] & bit:
+            j = next((j for j in range(i + 1, n) if cols[j] & bit), None)
+            if j is None:
                 raise SingularMatrixError(f"matrix is singular at row {i + 1}")
-            j = i + 1 + int(hits[0])
-            C[i] ^= C[j]
-            sources.append(j)
-            targets.append(np.array([i]))
+            cols[i] ^= cols[j]
+            pairs += (j, i)
         # Clearing row i adds column i into every other column with a 1 there.
         # These factors share their source, so they commute and stay in
         # ascending column order.
-        hits = np.flatnonzero(C[:, i])
-        hits = hits[hits != i]
-        if hits.size:
-            C[hits] ^= C[i]
-            sources.append(i)
-            targets.append(hits)
+        col = cols[i]
+        for j, c in enumerate(cols):
+            if c & bit and j != i:
+                cols[j] = c ^ col
+                pairs += (i, j)
     # The applied product reduces T to the identity, so it equals T^-1; each
     # factor is its own inverse, hence the reversed list multiplies to T.
-    assert np.array_equal(C, identity(n))
-    if not targets:
-        return np.zeros((0, 2), dtype=np.intp)
-    sizes = [t.size for t in targets]
-    pairs = np.column_stack((np.repeat(sources, sizes), np.concatenate(targets)))
-    return pairs[::-1] + 1
+    assert cols == [1 << c for c in range(n)]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)[::-1] + 1
 
 
 def multiply_factors(factors, n: int) -> np.ndarray:

@@ -27,7 +27,6 @@ The cycle-ordered orbit tuples are built only when something reads them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import index
@@ -35,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonfmt import compact_json
+from ._jsonfmt import compact_json, read_json
 
 
 class NotBijectiveError(ValueError):
@@ -455,7 +454,7 @@ def hypermap_from_json(data: dict) -> tuple[Hypermap, tuple[int, ...] | None]:
 
 
 def load_hypermap(path) -> tuple[Hypermap, tuple[int, ...] | None]:
-    return hypermap_from_json(json.loads(Path(path).read_text()))
+    return hypermap_from_json(read_json(path))
 
 
 def save_hypermap(path, H: Hypermap, special: tuple[int, ...] | None = None) -> None:

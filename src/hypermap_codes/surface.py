@@ -18,13 +18,14 @@ nonspecial darts in ascending order.  That matrix is exactly the merged-face
 boundary the drawing-based procedure produces.  Both read the hypermap's
 cached index arrays (vertex labels, ``tau^-1``) with no per-dart loop, and
 :func:`surface_code` fills its incidence matrices with fancy-indexed XORs.
+:func:`verify_equivalence` checks one code when those matrices equal the
+canonical code's, which is then the surface code as well.
 :func:`intermediate_surface` materializes the pre-merge stage (all darts
 kept as edges, hyperedges as extra faces) for DOT export and debugging.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonfmt import compact_json
+from ._jsonfmt import compact_json, read_json
 from .chain import _nonspecial, boundary_pair
 from .css import CodeParams, CssCode, params, stabilizer_equal
 from .hypermap import Hypermap, NotConnectedError, Permutation, _json_fields, choose_special_darts
@@ -99,30 +100,21 @@ class RotationGraph:
             if not (1 <= a <= self.vertex_count and 1 <= b <= self.vertex_count):
                 raise ValueError(f"edge ({a},{b}) endpoint out of range")
         n_ends = 2 * len(edges)
-        seen: dict[int, int] = {}
+        # Range and repeats are the permutation's own checks; with neither,
+        # the count decides whether every edge-end is listed.
+        sigma = Permutation.from_cycles(rotation, n_ends)
+        if sum(map(len, rotation)) != n_ends:
+            raise ValueError("rotation must list every edge-end exactly once")
+        owner = list(chain.from_iterable(edges))  # owner[h - 1] carries edge-end h
         for v, cycle in enumerate(rotation, start=1):
             for h in cycle:
-                if not 1 <= h <= n_ends:
-                    raise ValueError(f"edge-end {h} out of range 1..{n_ends}")
-                if h in seen:
-                    raise ValueError(f"edge-end {h} listed at two vertices")
-                seen[h] = v
-        if len(seen) != n_ends:
-            raise ValueError("rotation must list every edge-end exactly once")
-        for h, v in seen.items():
-            if self.end_vertex(h) != v:
-                raise ValueError(
-                    f"edge-end {h} belongs at vertex {self.end_vertex(h)}, listed at {v}"
-                )
-
-    def end_vertex(self, h: int) -> int:
-        """Vertex carrying edge-end ``h``."""
-        a, b = self.edges[(h - 1) // 2]
-        return a if h % 2 == 1 else b
+                if owner[h - 1] != v:
+                    raise ValueError(f"edge-end {h} belongs at vertex {owner[h - 1]}, listed at {v}")
+        object.__setattr__(self, "_sigma", sigma)
 
     def sigma(self) -> Permutation:
         """Next-end-around-the-vertex permutation of all edge-ends."""
-        return Permutation.from_cycles(self.rotation, 2 * len(self.edges))
+        return self._sigma
 
     def end_swap(self) -> Permutation:
         """Involution pairing the two ends of every edge."""
@@ -162,6 +154,11 @@ def surface_code(G: SurfaceGraph) -> CssCode:
     and cancel to a zero column) and ``hz`` the face-edge incidence matrix;
     columns are ordered by ascending edge label.
     """
+    return CssCode(*_incidence(G))
+
+
+def _incidence(G: SurfaceGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(hx, hz)`` of :func:`surface_code`, unchecked."""
     m = len(G.edges)
     column = dict(zip(G.edge_labels, range(m))).__getitem__
     hx = np.zeros((G.vertex_count, m), dtype=np.uint8)
@@ -172,7 +169,7 @@ def surface_code(G: SurfaceGraph) -> CssCode:
     sizes = list(map(len, G.faces))
     rows = np.arange(len(G.faces)).repeat(sizes)
     hz[rows, np.fromiter(map(column, chain.from_iterable(G.faces)), np.intp, sum(sizes))] = 1
-    return CssCode(hx, hz)
+    return hx, hz
 
 
 def hypermap_to_surface(H: Hypermap, S: tuple[int, ...] | None = None) -> SurfaceGraph:
@@ -253,23 +250,28 @@ def verify_equivalence(H: Hypermap, S: tuple[int, ...] | None = None) -> Equival
     """Build the canonical code and its surface code and compare stabilizers.
 
     The canonical code is the boundary pair ``(p1, p2)``, built and checked
-    once, and the surface graph is read off the same matrices.  When the two
-    codes have identical matrices, as they usually do, they are ranked once.
+    once, and the surface graph is read off the same matrices.  When its
+    incidence matrices equal them, as they usually do, that code is the
+    surface code too; otherwise the surface code is built and checked.
     """
     if S is None:
         S = choose_special_darts(H)
     hmap_code = boundary_pair(H, S)
     graph = _surface_from_code(H, S, hmap_code)
-    surf_code = surface_code(graph)
     hmap_params = params(hmap_code)
-    same = np.array_equal(hmap_code.hx, surf_code.hx) and np.array_equal(hmap_code.hz, surf_code.hz)
+    hx, hz = _incidence(graph)
+    if np.array_equal(hmap_code.hx, hx) and np.array_equal(hmap_code.hz, hz):
+        surf_code, surf_params = hmap_code, hmap_params
+    else:
+        surf_code = CssCode(hx, hz)
+        surf_params = params(surf_code)
     return EquivalenceReport(
         equal=stabilizer_equal(hmap_code, surf_code),
         graph=graph,
         hypermap_code=hmap_code,
         surface_code=surf_code,
         hypermap_params=hmap_params,
-        surface_params=hmap_params if same else params(surf_code),
+        surface_params=surf_params,
     )
 
 
@@ -283,27 +285,18 @@ def toric_rotation_graph(rows: int, cols: int) -> RotationGraph:
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
 
+    # Vertex v = x * cols + y (0-based) owns edges 2v + 1 (rightward) and
+    # 2v + 2 (downward), whose first ends are 4v + 1 and 4v + 3.
     def vid(x: int, y: int) -> int:
-        return (x % rows) * cols + (y % cols) + 1
+        return (x % rows) * cols + (y % cols)
 
-    edges: list[tuple[int, int]] = []
-    right_edge: dict[tuple[int, int], int] = {}
-    down_edge: dict[tuple[int, int], int] = {}
-    for x in range(rows):
-        for y in range(cols):
-            right_edge[(x, y)] = len(edges) + 1
-            edges.append((vid(x, y), vid(x, y + 1)))
-            down_edge[(x, y)] = len(edges) + 1
-            edges.append((vid(x, y), vid(x + 1, y)))
-
+    edges = []
     rotation = []
     for x in range(rows):
         for y in range(cols):
-            east = 2 * right_edge[(x, y)] - 1
-            north = 2 * down_edge[((x - 1) % rows, y)]
-            west = 2 * right_edge[(x, (y - 1) % cols)]
-            south = 2 * down_edge[(x, y)] - 1
-            rotation.append((east, north, west, south))
+            v = vid(x, y)
+            edges += ((v + 1, vid(x, y + 1) + 1), (v + 1, vid(x + 1, y) + 1))
+            rotation.append((4 * v + 1, 4 * vid(x - 1, y) + 4, 4 * vid(x, y - 1) + 2, 4 * v + 3))
     return RotationGraph(rows * cols, tuple(edges), tuple(rotation))
 
 
@@ -366,4 +359,4 @@ def save_surface_graph(path, G: SurfaceGraph) -> None:
 
 
 def load_rotation_graph(path) -> RotationGraph:
-    return rotation_graph_from_json(json.loads(Path(path).read_text()))
+    return rotation_graph_from_json(read_json(path))

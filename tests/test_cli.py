@@ -107,6 +107,15 @@ def test_info_malformed_json_exits_2(tmp_path, capsys):
     assert main(["info", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["info", "verify", "from-graph"])
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "from-graph" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: JSON in {path} is nested too deeply\n")
+
+
 TORUS_SIGMA = [[1, 8, 3, 6], [2, 5, 4, 7]]
 TORUS_TAU = [[1, 2, 3, 4], [5, 6, 7, 8]]
 

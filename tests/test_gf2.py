@@ -189,10 +189,11 @@ def test_decompose_random_products():
 def test_elementary_pairs_match_scalar_reference():
     # Row-wise clearing must give the same (i, j) factors, in the same
     # order, as clearing one entry at a time: dense, column-permuted and
-    # sparse matrices (3n and 2n entries) with n = 1-64.
+    # sparse matrices (3n and 2n entries) with n = 1-64, then sizes whose
+    # packed columns span several 64-bit words.
     rng = random.Random(47)
     repaired = 0
-    for n in range(1, 65):
+    for n in [*range(1, 65), 65, 96, 130]:
         order = list(range(n))
         rng.shuffle(order)
         dense = random_invertible(rng, n)

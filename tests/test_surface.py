@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hypermap_codes import (
-    CssCode,
     Hypermap,
+    NotBijectiveError,
     NotConnectedError,
     OrbitPartition,
     Permutation,
@@ -41,6 +41,7 @@ from util import (
     random_special_darts,
     reference_boundary_rows,
     reference_surface_code,
+    reference_toric_rotation_graph,
     torus_hypermap,
 )
 
@@ -200,22 +201,42 @@ def test_verify_equivalence_ranks_identical_codes_once(monkeypatch):
     assert report.surface_params == report.hypermap_params == original(report.surface_code)
 
     # A surface code with the same rows in another order is ranked on its own.
-    original_surface_code = surface.surface_code
+    original_incidence = surface._incidence
 
     def reversed_rows(G):
-        code = original_surface_code(G)
-        return CssCode(code.hx[::-1], code.hz[::-1])
+        hx, hz = original_incidence(G)
+        return hx[::-1], hz[::-1]
 
-    monkeypatch.setattr(surface, "surface_code", reversed_rows)
+    monkeypatch.setattr(surface, "_incidence", reversed_rows)
     ranked.clear()
     report = verify_equivalence(H, S)
     assert report.equal and len(ranked) == 2
     assert report.surface_params == report.hypermap_params
 
 
+def test_verify_equivalence_reuses_only_an_identical_canonical_code(monkeypatch):
+    H, S = graph_to_hypermap(toric_rotation_graph(4, 4))
+    report = verify_equivalence(H, S)
+    assert report.surface_code is report.hypermap_code
+
+    # With hx equal and one hz entry cleared, the pair is not orthogonal:
+    # the surface code is built on its own, so its check still runs.
+    original_incidence = surface._incidence
+
+    def cleared_hz_entry(G):
+        hx, hz = original_incidence(G)
+        hz = hz.copy()
+        hz[0, np.flatnonzero(hz[0])[0]] = 0
+        return hx, hz
+
+    monkeypatch.setattr(surface, "_incidence", cleared_hz_entry)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        verify_equivalence(H, S)
+
+
 def test_each_code_is_checked_once(monkeypatch):
-    # One orthogonality product per code built: the canonical code, plus the
-    # surface code in verify.
+    # One orthogonality product per code built: the canonical code, which
+    # verify also reuses as the surface code when the incidence matches.
     products = []
     original = gf2.mul
 
@@ -227,9 +248,11 @@ def test_each_code_is_checked_once(monkeypatch):
     H, S = graph_to_hypermap(toric_rotation_graph(4, 4))
     build_canonical(H, S)
     assert len(products) == 1
-    products.clear()
-    assert verify_equivalence(H, S).equal
-    assert len(products) == 2
+    for L in (4, 32):
+        H, S = graph_to_hypermap(toric_rotation_graph(L, L))
+        products.clear()
+        assert verify_equivalence(H, S).equal
+        assert products == [((L * L, 2 * L * L), (2 * L * L, L * L))]
 
 
 def test_verify_equivalence_toric_24x24():
@@ -365,10 +388,27 @@ def test_graph_to_hypermap_rejects_disconnected():
 
 
 def test_rotation_graph_validation():
-    with pytest.raises(ValueError):
-        RotationGraph(2, ((1, 2),), ((1, 2), ()))  # end 2 belongs at vertex 2
-    with pytest.raises(ValueError):
-        RotationGraph(1, ((1, 1),), ((1,),))  # missing end
+    with pytest.raises(ValueError, match=r"^edge-end 2 belongs at vertex 2, listed at 1$"):
+        RotationGraph(2, ((1, 2),), ((1, 2), ()))
+    with pytest.raises(ValueError, match=r"^rotation must list every edge-end exactly once$"):
+        RotationGraph(1, ((1, 1),), ((1,),))
+    # Range and repeats are checked by the rotation's permutation.
+    with pytest.raises(ValueError, match=r"^cycle entry 3 out of range 1\.\.2$"):
+        RotationGraph(1, ((1, 1),), ((1, 3),))
+    with pytest.raises(NotBijectiveError, match=r"^label 1 appears in two cycles$"):
+        RotationGraph(2, ((1, 2),), ((1,), (1,)))
+
+
+def test_rotation_graph_sigma_is_built_once():
+    G = toric_rotation_graph(3, 2)
+    assert G.sigma() is G.sigma()
+    assert G.sigma() == Permutation.from_cycles(G.rotation, 2 * len(G.edges))
+
+
+def test_toric_rotation_graph_matches_dict_built_reference():
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            assert toric_rotation_graph(rows, cols) == reference_toric_rotation_graph(rows, cols)
 
 
 def test_surface_graph_json_round_trip():

@@ -300,6 +300,35 @@ def random_rotation_graph(rng, max_edges=8):
     return RotationGraph(n_vertices, tuple(edges), tuple(rotation))
 
 
+def reference_toric_rotation_graph(rows, cols):
+    """:func:`toric_rotation_graph` with each edge's number looked up in a dict.
+
+    Edges are numbered in creation order, rightward then downward at every
+    vertex, and each vertex lists its east, north, west and south ends.
+    """
+
+    def vid(x, y):
+        return (x % rows) * cols + (y % cols) + 1
+
+    edges = []
+    right_edge, down_edge = {}, {}
+    for x in range(rows):
+        for y in range(cols):
+            right_edge[(x, y)] = len(edges) + 1
+            edges.append((vid(x, y), vid(x, y + 1)))
+            down_edge[(x, y)] = len(edges) + 1
+            edges.append((vid(x, y), vid(x + 1, y)))
+    rotation = []
+    for x in range(rows):
+        for y in range(cols):
+            east = 2 * right_edge[(x, y)] - 1
+            north = 2 * down_edge[((x - 1) % rows, y)]
+            west = 2 * right_edge[(x, (y - 1) % cols)]
+            south = 2 * down_edge[(x, y)] - 1
+            rotation.append((east, north, west, south))
+    return RotationGraph(rows * cols, tuple(edges), tuple(rotation))
+
+
 def reference_weight_search(cols, reducer, max_weight):
     """Smallest logical weight ``w <= max_weight``, or 0, by scanning every ``w``-subset.
 
