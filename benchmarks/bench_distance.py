@@ -4,7 +4,8 @@ Each case is timed through ``distance_split``, best of ``--repeats`` runs.
 The shallow cases end in the weight-ordered meet-in-the-middle search; the
 deep case is the [[23,1,7]] CSS code built from the binary Golay code, whose
 search switches to enumerating the kernel after weight 3 and finds its
-logical operators at weight 7.
+logical operators at weight 7.  The run exits non-zero if a toric ``LxM``
+case does not give ``dx = dz = min(L, M)`` or the Golay case not ``(7, 7)``.
 
 Run:  python3 benchmarks/bench_distance.py [--repeats N]
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
+import sys
 import time
 
 import numpy as np
@@ -71,6 +74,15 @@ def time_distance(code, repeats: int) -> tuple[float, tuple[int, int]]:
     return best, result
 
 
+def known_distances(label: str) -> tuple[int, int] | None:
+    """``(dx, dz)`` a case must give: ``min(L, M)`` twice for toric ``LxM``, 7 twice for Golay."""
+    toric = re.fullmatch(r"toric (\d+)x(\d+)", label)
+    if toric:
+        d = min(int(toric[1]), int(toric[2]))
+        return d, d
+    return (7, 7) if label.startswith("golay") else None
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats per case")
@@ -83,6 +95,9 @@ def main() -> None:
         p = params(code)
         seconds, (dx, dz) = time_distance(code, args.repeats)
         print(f"{label:<20} {p.n:>3} {p.k:>2} {dx:>3} {dz:>3} {seconds:>12.6f}")
+        expected = known_distances(label)
+        if expected and (dx, dz) != expected:
+            sys.exit(f"{label}: (dx, dz) = {(dx, dz)}, expected {expected}")
 
 
 if __name__ == "__main__":

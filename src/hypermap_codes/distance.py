@@ -17,16 +17,18 @@ vector is an ``a``-subset and a ``b``-subset of check columns with equal
 syndromes (``a = w // 2``, ``b = w - a``), so each weight costs about
 ``C(n, ceil(w/2))`` dictionary steps, and the subset count of the rule
 overstates the work; the rule is kept as a conservative bound.  Past that
-weight it enumerates all of ``ker(H)`` in numpy instead, from the basis of
-one elimination over the columns: an XOR table over the low basis vectors
-is XORed with each combination of the high ones, chunk by chunk, and the
-minimum popcount is taken over the vectors outside the excluded row space.
-Both strategies are exact, so the rule decides speed only: shallow codes
-stop in the weight scan, deep ones (the ``[[23,1,7]]`` Golay code switches
-after ``w = 3``) pay ``2^dim ker(H)`` vectorised steps.  With ``k >= 1``
-each sector has a logical of weight at most ``rank + 1`` (a reduced-echelon
-kernel basis vector), so within the ``n <= 24`` guard no stored level of
-the scan exceeds ``C(24, 3) = 2024`` subsets.
+weight it enumerates ``ker(H)`` in numpy instead: one elimination of the
+check columns splits a kernel basis into vectors inside the excluded row
+space and logicals, whose every nonzero combination is a logical, and the
+minimum popcount is taken over the one ``uint64`` span table past its
+inside-only combinations.  Both strategies are exact, so the rule decides
+speed only: shallow codes stop in the weight scan, deep ones (the
+``[[23,1,7]]`` Golay code switches after ``w = 3``) pay ``2^dim ker(H)``
+vectorised steps.  With ``k >= 1`` each sector has a logical of weight at
+most ``rank + 1`` (a reduced-echelon kernel basis vector), so within the
+``n <= 24`` guard no stored level of the scan exceeds ``C(24, 3) = 2024``
+subsets, and since the kernel is enumerated only when the depth is below
+that weight, no span table exceeds ``2^18`` words (2 MiB).
 
 :func:`distance_exhaustive` is a full-enumeration implementation kept for
 cross-checking the oracle's search on small codes.
@@ -43,8 +45,6 @@ from . import gf2
 BACKEND = "numpy"
 MAX_ORACLE_QUBITS = 24
 MAX_EXHAUSTIVE_QUBITS = 16
-TABLE_BITS = 14  # kernel basis vectors combined into the XOR table
-CHUNK_WORDS = 1 << 16  # vectors enumerated per numpy pass
 
 
 class CodeTooLargeError(ValueError):
@@ -53,18 +53,6 @@ class CodeTooLargeError(ValueError):
 
 class NoLogicalOperatorError(ValueError):
     """The code has no logical operators (k = 0), so no distance."""
-
-
-def _kernel_vectors(cols, rows: int) -> list[int]:
-    """A packed basis of ``ker(H)`` from the packed columns of ``H`` (``rows`` bits each).
-
-    Column ``j`` is tagged with bit ``rows + j`` and the tagged columns are
-    eliminated once.  An echelon row with its pivot in the tag bits is a
-    column combination that XORs to 0, named by its tag; there are
-    ``n - rank(H)`` of them, independent since their pivots differ.
-    """
-    basis, _ = gf2._forward([c | 1 << (rows + j) for j, c in enumerate(cols)])
-    return [v >> rows for p, v in basis.items() if p >= rows]
 
 
 def _weight_search(cols, reducer, max_weight: int) -> int:
@@ -123,26 +111,44 @@ def _span(vectors) -> np.ndarray:
     return table
 
 
-def _kernel_search(vectors, reducer) -> int:
+def _kernel_split(cols, rows: int, reducer) -> tuple[list[int], list[int]]:
+    """A basis ``(inside, logical)`` of ``ker(H)`` from the packed columns of ``H``.
+
+    Column ``j`` (``rows`` bits) is tagged with the reduced image of ``e_j``
+    (``n`` bits) and with bit ``rows + n + j``, and eliminated once.  An
+    echelon row with its pivot at or past ``rows`` XORs its columns to 0, so
+    its last tag is one of ``n - rank(H)`` independent kernel vectors.  With
+    the pivot in the image band it is a logical; these images have distinct
+    pivots, so every nonzero combination of logicals is outside the excluded
+    row space.  With the pivot past that band its image is 0: it is inside.
+    """
+    shift = rows + len(cols)
+    tagged = [c | gf2._reduce(1 << j, *reducer) << rows | 1 << (shift + j) for j, c in enumerate(cols)]
+    basis, _ = gf2._forward(tagged)
+    inside = [v >> shift for p, v in basis.items() if p >= shift]
+    logical = [v >> shift for p, v in basis.items() if rows <= p < shift]
+    return inside, logical
+
+
+def _kernel_search(cols, rows: int, reducer) -> int:
     """Minimum logical weight over all of ``ker(H)``, or 0 if there is none.
 
-    ``vectors`` is a kernel basis packed into ints of at most 64 bits.
-    Since the reduction is linear, each basis vector is reduced once and the
-    images are combined alongside the vectors: a combination lies outside
-    the excluded row space exactly when its image is nonzero.
+    In the span of ``inside + logical`` the combinations from index
+    ``2^len(inside)`` on are those with a nonzero logical part.
     """
-    images = [gf2._reduce(v, *reducer) for v in vectors]
-    low = min(len(vectors), TABLE_BITS)
-    table, table_images = _span(vectors[:low]), _span(images[:low])
-    high, high_images = _span(vectors[low:]), _span(images[low:])
-    step = max(1, CHUNK_WORDS >> low)
-    best = 255  # above any popcount of a 64-bit word
-    for s in range(0, len(high), step):
-        weights = np.bitwise_count((high[s : s + step, None] ^ table).ravel())
-        inside = (high_images[s : s + step, None] ^ table_images).ravel() == 0
-        weights[inside] = 255
-        best = min(best, int(weights.min()))
-    return 0 if best == 255 else best
+    inside, logical = _kernel_split(cols, rows, reducer)
+    if not logical:
+        return 0
+    return int(np.bitwise_count(_span(inside + logical)[1 << len(inside) :]).min())
+
+
+def _weight_depth(n: int, dim: int) -> int:
+    """Weight search depth: the largest ``w <= n`` with ``C(n, 1) + ... + C(n, w) <= 2^dim``."""
+    depth, spent, budget = 0, 0, 1 << dim
+    while depth < n and spent + math.comb(n, depth + 1) <= budget:
+        depth += 1
+        spent += math.comb(n, depth)
+    return depth
 
 
 def _sector_min_weight(stab, rank: int, reducer) -> int:
@@ -154,19 +160,12 @@ def _sector_min_weight(stab, rank: int, reducer) -> int:
     pivot bit, a linear map that is 0 exactly on the excluded row space.
     ``cols[j]`` packs column ``j`` of ``stab``, so a set of columns XORs to
     0 exactly when its indicator vector is in ``ker(H)``.  Returns 0 when
-    no such vector exists.  The weight search runs through the largest ``w``
-    with ``C(n, 1) + ... + C(n, w) <= 2^dim ker(H)``, a conservative bound on
-    its meet-in-the-middle cost; if it finds nothing, the kernel is
-    enumerated.
+    no such vector exists.  The weight search runs to :func:`_weight_depth`,
+    and if it finds nothing the kernel is enumerated.
     """
     cols = gf2._pack_rows(stab.T)
-    n, budget = len(cols), 1 << (len(cols) - rank)
-    depth, spent = 0, 0
-    while depth < n and spent + math.comb(n, depth + 1) <= budget:
-        depth += 1
-        spent += math.comb(n, depth)
-    found = _weight_search(cols, reducer, depth)
-    return found or _kernel_search(_kernel_vectors(cols, len(stab)), reducer)
+    found = _weight_search(cols, reducer, _weight_depth(len(cols), len(cols) - rank))
+    return found or _kernel_search(cols, len(stab), reducer)
 
 
 # `jobbench/tracing.py` times the per-sector search under this name, so
@@ -219,8 +218,7 @@ def distance_exhaustive(code) -> int:
         raise CodeTooLargeError(
             f"{n} qubits exceed the n <= {MAX_EXHAUSTIVE_QUBITS} exhaustion guard"
         )
-    hx_rows = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in code.hx]
-    hz_rows = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in code.hz]
+    hx_rows, hz_rows = gf2._pack_rows(code.hx), gf2._pack_rows(code.hz)
 
     def unpack(mask):
         return np.array([(mask >> j) & 1 for j in range(n)], dtype=np.uint8)

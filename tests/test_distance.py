@@ -103,7 +103,7 @@ def forced_split(code, strategy):
         if strategy == "weight":
             result.append(distance._weight_search(cols, reducer, len(cols)))
         else:
-            result.append(distance._kernel_search(gf2._pack_rows(gf2.kernel_basis(stab)), reducer))
+            result.append(distance._kernel_search(cols, len(stab), reducer))
     return tuple(result)
 
 
@@ -126,12 +126,8 @@ def test_each_strategy_matches_exhaustive(strategy):
             assert (dx, dz) == distance_split(code)
 
 
-@pytest.mark.parametrize("table_bits, chunk_words", [(14, 1 << 16), (2, 8)])
-def test_strategies_agree_on_random_sectors(monkeypatch, table_bits, chunk_words):
+def test_strategies_agree_on_random_sectors():
     # Arbitrary check and excluded matrices: the excluded rows need not lie in ker(H).
-    # A 2-vector table in chunks of 8 words runs the high-combination loop on small kernels.
-    monkeypatch.setattr(distance, "TABLE_BITS", table_bits)
-    monkeypatch.setattr(distance, "CHUNK_WORDS", chunk_words)
     rng = np.random.default_rng(97)
     for _ in range(200):
         n = int(rng.integers(1, 11))
@@ -139,7 +135,7 @@ def test_strategies_agree_on_random_sectors(monkeypatch, table_bits, chunk_words
         excl = rng.integers(0, 2, (rng.integers(0, 5), n), dtype=np.uint8)
         cols, reducer = gf2._pack_rows(stab.T), gf2.row_basis(excl)
         expected = distance._weight_search(cols, reducer, n)
-        assert distance._kernel_search(gf2._pack_rows(gf2.kernel_basis(stab)), reducer) == expected
+        assert distance._kernel_search(cols, len(stab), reducer) == expected
         assert sector_min_weight(stab, excl) == expected
 
 
@@ -204,33 +200,51 @@ def test_no_logicals_read_from_the_ranks(monkeypatch):
         distance_split(big)
 
 
-def test_kernel_vectors_span_kernel():
+def test_kernel_split_spans_kernel():
+    # Arbitrary excluded rows, so that ker(H) meets their span in any dimension.
     rng = np.random.default_rng(131)
     for _ in range(150):
         rows, n = int(rng.integers(0, 9)), int(rng.integers(1, 17))
         stab = (rng.random((rows, n)) < rng.choice([0.1, 0.5, 0.9])).astype(np.uint8)
-        vectors = distance._kernel_vectors(gf2._pack_rows(stab.T), rows)
+        excl = rng.integers(0, 2, (rng.integers(0, 9), n), dtype=np.uint8)
+        reducer = gf2.row_basis(excl)
+        inside, logical = distance._kernel_split(gf2._pack_rows(stab.T), rows, reducer)
         dim = n - len(reference_row_echelon(stab)[1])
-        assert len(vectors) == dim
-        V = gf2._unpack_rows(vectors, n)
-        assert not gf2.mul(stab, V.T).any()
+        V = gf2._unpack_rows(inside + logical, n)
+        assert len(V) == dim and not gf2.mul(stab, V.T).any()
         assert len(reference_row_echelon(V)[1]) == dim
+        assert gf2.rows_outside(gf2._unpack_rows(inside, n), reducer) == []
+        images = gf2._unpack_rows([gf2._reduce(v, *reducer) for v in logical], n)
+        assert len(reference_row_echelon(images)[1]) == len(logical)
+
+
+def test_kernel_depth_bounds_the_span_table():
+    # Enumeration needs a logical heavier than the depth, and some logical weighs
+    # at most rank + 1 = n - dim + 1, so only dim with depth <= n - dim reach it.
+    enumerated = [
+        dim
+        for n in range(distance.MAX_ORACLE_QUBITS + 1)
+        for dim in range(n + 1)
+        if distance._weight_depth(n, dim) <= n - dim
+    ]
+    assert max(enumerated) == 18
 
 
 def test_golay_distance_uses_kernel_enumeration(monkeypatch):
     depths, enumerated = [], []
-    weight_search, kernel_search = distance._weight_search, distance._kernel_search
+    weight_search, kernel_split = distance._weight_search, distance._kernel_split
 
     def spy_weight(cols, reducer, max_weight):
         depths.append(max_weight)
         return weight_search(cols, reducer, max_weight)
 
-    def spy_kernel(vectors, reducer):
-        enumerated.append(len(vectors))
-        return kernel_search(vectors, reducer)
+    def spy_split(cols, rows, reducer):
+        inside, logical = kernel_split(cols, rows, reducer)
+        enumerated.append(len(inside) + len(logical))
+        return inside, logical
 
     monkeypatch.setattr(distance, "_weight_search", spy_weight)
-    monkeypatch.setattr(distance, "_kernel_search", spy_kernel)
+    monkeypatch.setattr(distance, "_kernel_split", spy_split)
     assert distance_split(golay_css()) == (7, 7)
     # dim ker(H) = 12: C(23,1) + C(23,2) + C(23,3) = 2047 <= 2^12 < 2047 + C(23,4).
     assert depths == [3, 3] and enumerated == [12, 12]
