@@ -126,13 +126,21 @@ def test_each_strategy_matches_exhaustive(strategy):
             assert (dx, dz) == distance_split(code)
 
 
-def test_strategies_agree_on_random_sectors():
-    # Arbitrary check and excluded matrices: the excluded rows need not lie in ker(H).
-    rng = np.random.default_rng(97)
+@pytest.mark.parametrize("max_qubits, seed", [(14, 65536), (2, 8)])
+def test_strategies_agree_on_random_sectors(max_qubits, seed):
+    # Arbitrary check matrices; the excluded rows are partly arbitrary and partly
+    # drawn from ker(H), so the kernel also holds nonzero vectors inside their span.
+    # Up to 14 qubits the kernel span reaches 2^14 entries; on 1-2 qubits the
+    # empty, full and one-dimensional kernels all come up.
+    rng = np.random.default_rng(seed)
     for _ in range(200):
-        n = int(rng.integers(1, 11))
+        n = int(rng.integers(1, max_qubits + 1))
         stab = rng.integers(0, 2, (rng.integers(0, 7), n), dtype=np.uint8)
-        excl = rng.integers(0, 2, (rng.integers(0, 5), n), dtype=np.uint8)
+        K = gf2.kernel_basis(stab)
+        excl = np.vstack([
+            rng.integers(0, 2, (rng.integers(0, 3), n), dtype=np.uint8),
+            gf2.mul(rng.integers(0, 2, (rng.integers(0, 4), len(K)), dtype=np.uint8), K),
+        ])
         cols, reducer = gf2._pack_rows(stab.T), gf2.row_basis(excl)
         expected = distance._weight_search(cols, reducer, n)
         assert distance._kernel_search(cols, len(stab), reducer) == expected
