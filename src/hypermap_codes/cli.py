@@ -14,7 +14,7 @@ import sys
 
 from . import css, gf2, surface
 from .distance import distance_split
-from .hypermap import Hypermap, choose_special_darts, load_hypermap, save_hypermap
+from .hypermap import Hypermap, choose_special_darts, given_special_darts, load_hypermap, save_hypermap
 
 
 def _parse_dart_list(text: str) -> list[int]:
@@ -28,7 +28,7 @@ def _parse_dart_list(text: str) -> list[int]:
 def _load_hypermap_and_special(path, special_flag) -> tuple[Hypermap, tuple[int, ...]]:
     H, special = load_hypermap(path)
     if special_flag is not None:
-        special = choose_special_darts(H, preferred=_parse_dart_list(special_flag))
+        special = given_special_darts(H, _parse_dart_list(special_flag))
     elif special is None:
         special = choose_special_darts(H)
     return H, special
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("to-surface", help="convert a hypermap to its equivalent surface graph")
     p.add_argument("hypermap", help="hypermap JSON file")
-    p.add_argument("--special", help="comma-separated special darts")
+    p.add_argument("--special", help="comma-separated special darts, one per hyperedge")
     p.add_argument("--out-graph", required=True, help="surface graph JSON output")
     p.add_argument("--dot", help="DOT output for the surface graph")
     p.add_argument(
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check hypermap code == surface code of its graph")
     p.add_argument("hypermap", help="hypermap JSON file")
-    p.add_argument("--special", help="comma-separated special darts")
+    p.add_argument("--special", help="comma-separated special darts, one per hyperedge")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", help="CNOT circuit of an invertible matrix")

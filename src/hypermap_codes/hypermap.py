@@ -12,7 +12,7 @@ Construction validates everything: permutations must be bijections and the
 group generated by ``sigma`` and ``tau`` must act transitively on the darts
 (a connected hypermap; one walk from dart 1 checks it).  Invalid data cannot
 be represented.  A special-dart choice, one dart per hyperedge, is a plain
-tuple of labels, checked by :func:`check_special_darts`.
+tuple of labels (:func:`check_special_darts`, :func:`given_special_darts`).
 
 Both classes are frozen, so derived structure is computed at most once per
 object, on first use: a :class:`Permutation` keeps its orbit partition and
@@ -385,6 +385,14 @@ def choose_special_darts(H: Hypermap, preferred=None) -> tuple[int, ...]:
     return tuple(chosen.tolist())
 
 
+def given_special_darts(H: Hypermap, darts: list[int]) -> tuple[int, ...]:
+    """:func:`choose_special_darts` for an input's list, which must name every hyperedge."""
+    S = choose_special_darts(H, preferred=darts)
+    if len(darts) != len(S):
+        raise ValueError(f"{len(darts)} special darts for {len(S)} hyperedges")
+    return S
+
+
 # --- JSON file format ----------------------------------------------------------
 
 
@@ -449,7 +457,7 @@ def hypermap_from_json(data: dict) -> tuple[Hypermap, tuple[int, ...] | None]:
     H = Hypermap.from_cycles(n, sigma_cycles, tau_cycles)
     special = None
     if data.get("special") is not None:
-        special = choose_special_darts(H, preferred=_json_labels(data["special"], "special"))
+        special = given_special_darts(H, _json_labels(data["special"], "special"))
     return H, special
 
 

@@ -9,24 +9,22 @@ vertex.  Edge ``j`` (1-based) has edge-ends ``2j-1`` at its first endpoint
 and ``2j`` at its second; these ids double as dart labels when a graph is
 reinterpreted as a hypermap.
 
-The conversion from a hypermap to its equivalent surface graph is executed
-combinatorially: the output's edges pair each nonspecial dart with its
-tau-predecessor's vertex, and its faces are read off the face-boundary
-matrix ``hz`` of the canonical code
-(:func:`~hypermap_codes.chain.boundary_pair`), whose columns are the
-nonspecial darts in ascending order.  That matrix is exactly the merged-face
-boundary the drawing-based procedure produces.  Both read the hypermap's
-cached index arrays (vertex labels, ``tau^-1``) with no per-dart loop, and
-:func:`surface_code` fills its incidence matrices with fancy-indexed XORs.
-:func:`verify_equivalence` checks one code when those matrices equal the
-canonical code's, which is then the surface code as well.
+The conversion from a hypermap to its equivalent surface graph runs on
+index arrays, one column per nonspecial dart ``d`` in ascending order: the
+edge joins the vertices of ``d`` and of ``tau^-1(d)``, and the faces are
+the nonzeros of the face-boundary matrix ``hz`` of the canonical code
+(:func:`~hypermap_codes.chain.boundary_pair`), exactly the merged-face
+boundary the drawing-based procedure produces.  One check on column arrays
+(endpoints in range, face columns known, every edge in 0 or 2 faces) and
+one incidence builder serve :func:`verify_equivalence`, which builds no
+:class:`SurfaceGraph`, as well as :class:`SurfaceGraph` and
+:func:`surface_code`, which map labels to columns with a dict.
 :func:`intermediate_surface` materializes the pre-merge stage (all darts
 kept as edges, hyperedges as extra faces) for DOT export and debugging.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import index, itemgetter
@@ -35,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonfmt import compact_json, read_json
-from .chain import _nonspecial, boundary_pair
+from .chain import _nonspecial, _toggle_columns, boundary_pair
 from .css import CodeParams, CssCode, params, stabilizer_equal
 from .hypermap import Hypermap, NotConnectedError, Permutation, _json_fields, choose_special_darts
 
@@ -54,24 +52,17 @@ class SurfaceGraph:
         object.__setattr__(self, "faces", faces)
         if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
-        labels = [label for _, _, label in edges]
-        if len(set(labels)) != len(labels):
+        # Column k is edge k; a dict takes labels of any size, -1 if unknown.
+        labels = list(map(itemgetter(2), edges))
+        column = {label: k for k, label in enumerate(labels)}
+        if len(column) != len(labels):
             raise ValueError("edge labels must be distinct")
-        label_set = set(labels)
-        for a, b, label in edges:
-            if not (1 <= a <= self.vertex_count and 1 <= b <= self.vertex_count):
-                raise ValueError(f"edge {label} endpoint out of range")
-        for face in faces:
-            if not face <= label_set:
-                raise ValueError(f"face {sorted(face)} uses unknown edge labels")
-        # Closed surface, observed mod 2: an edge lies on two face incidences,
-        # so it shows up in exactly two face sets or cancels out of one.
-        uses = Counter(label for face in faces for label in face)
-        for label in labels:
-            if uses[label] not in (0, 2):
-                raise ValueError(
-                    f"edge {label} appears in {uses[label]} faces; expected 0 or 2"
-                )
+        ends = np.array([[a for a, _, _ in edges], [b for _, b, _ in edges]], dtype=object) - 1
+        sizes = list(map(len, faces))
+        rows = np.arange(len(faces)).repeat(sizes)
+        cols = np.fromiter((column.get(x, -1) for x in chain.from_iterable(faces)), np.intp, sum(sizes))
+        _check_closed(self.vertex_count, ends, rows, cols, labels, lambda f: sorted(faces[f]))
+        object.__setattr__(self, "_columns", (labels, ends, rows, cols))
 
     @property
     def edge_labels(self) -> tuple[int, ...]:
@@ -154,22 +145,58 @@ def surface_code(G: SurfaceGraph) -> CssCode:
     and cancel to a zero column) and ``hz`` the face-edge incidence matrix;
     columns are ordered by ascending edge label.
     """
-    return CssCode(*_incidence(G))
+    labels, ends, rows, cols = G._columns
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = np.empty(len(order), dtype=np.intp)  # column of edge k, by ascending label
+    rank[order] = np.arange(len(order))
+    ends = ends[:, order].astype(np.intp)
+    return CssCode(*_incidence(G.vertex_count, ends, rows, rank[cols], len(G.faces)))
 
 
-def _incidence(G: SurfaceGraph) -> tuple[np.ndarray, np.ndarray]:
-    """``(hx, hz)`` of :func:`surface_code`, unchecked."""
-    m = len(G.edges)
-    column = dict(zip(G.edge_labels, range(m))).__getitem__
-    hx = np.zeros((G.vertex_count, m), dtype=np.uint8)
-    cols = np.fromiter(map(column, map(itemgetter(2), G.edges)), np.intp, m)
-    hx[np.fromiter(map(itemgetter(0), G.edges), np.intp, m) - 1, cols] = 1
-    hx[np.fromiter(map(itemgetter(1), G.edges), np.intp, m) - 1, cols] ^= 1  # a loop cancels
-    hz = np.zeros((len(G.faces), m), dtype=np.uint8)
-    sizes = list(map(len, G.faces))
-    rows = np.arange(len(G.faces)).repeat(sizes)
-    hz[rows, np.fromiter(map(column, chain.from_iterable(G.faces)), np.intp, sum(sizes))] = 1
-    return hx, hz
+def _check_closed(vertex_count: int, ends, rows, cols, labels, face_labels) -> None:
+    """Raise unless the graph in column arrays lies on a closed surface.
+
+    Column ``k`` is edge ``labels[k]`` with 0-based ends ``ends[:, k]``; face
+    ``rows[j]`` holds column ``cols[j]``; ``face_labels(f)`` names face ``f``.
+    """
+    m = len(labels)
+    bad = np.flatnonzero(((ends < 0) | (ends >= vertex_count)).any(axis=0))
+    if bad.size:
+        raise ValueError(f"edge {labels[bad[0]]} endpoint out of range")
+    bad = np.flatnonzero((cols < 0) | (cols >= m))
+    if bad.size:
+        raise ValueError(f"face {face_labels(rows[bad[0]])} uses unknown edge labels")
+    # Mod 2, an edge's two face incidences put it in two faces or in none.
+    uses = np.bincount(cols, minlength=m)
+    bad = np.flatnonzero((uses != 0) & (uses != 2))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"edge {labels[k]} appears in {uses[k]} faces; expected 0 or 2")
+
+
+def _incidence(vertex_count: int, ends, rows, cols, face_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(hx, hz)`` of a checked graph in column arrays (see :func:`_check_closed`)."""
+    hz = np.zeros((face_count, ends.shape[1]), dtype=np.uint8)
+    hz[rows, cols] = 1
+    return _toggle_columns(vertex_count, *ends), hz
+
+
+def _surface_columns(H: Hypermap, S: tuple[int, ...], hz: np.ndarray):
+    """Checked ``(vertex_count, ends, rows, cols, labels)``; column ``k`` is nonspecial dart ``k``."""
+    darts = _nonspecial(H.n_darts, S)
+    ends, labels = _dart_ends(H, darts), darts + 1
+    rows, cols = hz.nonzero()
+    vertex_count = len(H.vertices())
+    _check_closed(
+        vertex_count, ends, rows, cols, labels, lambda f: sorted(labels[cols[rows == f]].tolist())
+    )
+    return vertex_count, ends, rows, cols, labels
+
+
+def _dart_ends(H: Hypermap, darts: np.ndarray) -> np.ndarray:
+    """``2 x len(darts)``: the 0-based vertices of each 0-based dart ``d`` and of ``tau^-1(d)``."""
+    vertex = H.vertices().array
+    return np.stack((vertex[darts], vertex[H.tau.inverse().array[darts]]))
 
 
 def hypermap_to_surface(H: Hypermap, S: tuple[int, ...] | None = None) -> SurfaceGraph:
@@ -182,28 +209,12 @@ def hypermap_to_surface(H: Hypermap, S: tuple[int, ...] | None = None) -> Surfac
     """
     if S is None:
         S = choose_special_darts(H)
-    return _surface_from_code(H, S, boundary_pair(H, S))
-
-
-def _surface_from_code(H: Hypermap, S: tuple[int, ...], code: CssCode) -> SurfaceGraph:
-    """Surface graph read off the canonical code ``boundary_pair(H, S)``.
-
-    Column ``k`` of the code is the ``k``-th dart of :func:`nonspecial_darts`,
-    which becomes the edge label.
-    """
-    darts = _nonspecial(H.n_darts, S)
-    rows, cols = code.hz.nonzero()  # row-major, so grouped by face
-    labels = (darts[cols] + 1).tolist()
-    bounds = rows.searchsorted(np.arange(code.hz.shape[0] + 1)).tolist()
-    faces = tuple(frozenset(labels[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return SurfaceGraph(len(H.vertices()), _dart_edges(H, darts), faces)
-
-
-def _dart_edges(H: Hypermap, darts: np.ndarray) -> list[tuple[int, int, int]]:
-    """``(vertex of d, vertex of tau^-1(d), d)`` (1-based) for the 0-based ``darts``."""
-    vertex = H.vertices().array
-    ends = (vertex[darts], vertex[H.tau.inverse().array[darts]], darts)
-    return list(zip(*((end + 1).tolist() for end in ends)))
+    hz = boundary_pair(H, S).hz
+    vertex_count, ends, rows, cols, labels = _surface_columns(H, S, hz)
+    face_labels = labels[cols].tolist()  # row-major, so grouped by face
+    bounds = rows.searchsorted(np.arange(hz.shape[0] + 1)).tolist()
+    faces = tuple(frozenset(face_labels[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return SurfaceGraph(vertex_count, tuple(zip(*(ends + 1).tolist(), labels.tolist())), faces)
 
 
 def intermediate_surface(H: Hypermap) -> SurfaceGraph:
@@ -215,7 +226,8 @@ def intermediate_surface(H: Hypermap) -> SurfaceGraph:
     """
     faces = [frozenset(orbit) for orbit in H.faces().orbits]
     faces += [frozenset(orbit) for orbit in H.hyperedges().orbits]
-    return SurfaceGraph(len(H.vertices()), _dart_edges(H, np.arange(H.n_darts)), tuple(faces))
+    edges = zip(*(_dart_ends(H, np.arange(H.n_darts)) + 1).tolist(), range(1, H.n_darts + 1))
+    return SurfaceGraph(len(H.vertices()), tuple(edges), tuple(faces))
 
 
 def graph_to_hypermap(G: RotationGraph) -> tuple[Hypermap, tuple[int, ...]]:
@@ -239,7 +251,6 @@ def graph_to_hypermap(G: RotationGraph) -> tuple[Hypermap, tuple[int, ...]]:
 @dataclass(frozen=True)
 class EquivalenceReport:
     equal: bool
-    graph: SurfaceGraph
     hypermap_code: CssCode
     surface_code: CssCode
     hypermap_params: CodeParams
@@ -249,17 +260,17 @@ class EquivalenceReport:
 def verify_equivalence(H: Hypermap, S: tuple[int, ...] | None = None) -> EquivalenceReport:
     """Build the canonical code and its surface code and compare stabilizers.
 
-    The canonical code is the boundary pair ``(p1, p2)``, built and checked
-    once, and the surface graph is read off the same matrices.  When its
-    incidence matrices equal them, as they usually do, that code is the
+    The canonical code is built and checked once.  The surface graph stays in
+    index arrays, no :class:`SurfaceGraph`, checked to lie on a closed surface.
+    When its incidence matrices equal the canonical code's, that code is the
     surface code too; otherwise the surface code is built and checked.
     """
     if S is None:
         S = choose_special_darts(H)
     hmap_code = boundary_pair(H, S)
-    graph = _surface_from_code(H, S, hmap_code)
     hmap_params = params(hmap_code)
-    hx, hz = _incidence(graph)
+    vertex_count, ends, rows, cols, _ = _surface_columns(H, S, hmap_code.hz)
+    hx, hz = _incidence(vertex_count, ends, rows, cols, hmap_code.hz.shape[0])
     if np.array_equal(hmap_code.hx, hx) and np.array_equal(hmap_code.hz, hz):
         surf_code, surf_params = hmap_code, hmap_params
     else:
@@ -267,7 +278,6 @@ def verify_equivalence(H: Hypermap, S: tuple[int, ...] | None = None) -> Equival
         surf_params = params(surf_code)
     return EquivalenceReport(
         equal=stabilizer_equal(hmap_code, surf_code),
-        graph=graph,
         hypermap_code=hmap_code,
         surface_code=surf_code,
         hypermap_params=hmap_params,

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypermap_codes import build_canonical, cli, gf2, load_hypermap, transform
+from hypermap_codes import build_canonical, cli, gf2, load_hypermap, surface, transform
 from hypermap_codes.cli import main
 from util import FIXTURES
 
@@ -213,6 +213,35 @@ def test_build_same_hyperedge_specials_exit_2(capsys):
     assert "same hyperedge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, special",
+    [
+        pytest.param("build", "3", id="build-flag"),
+        pytest.param("verify", "7", id="verify-flag"),
+        pytest.param("to-surface", "3", id="to-surface-flag"),
+        pytest.param("info", [1], id="info-json"),
+        pytest.param("verify", [7], id="verify-json"),
+        pytest.param("build", [], id="build-json-empty"),
+    ],
+)
+def test_partial_special_list_exits_2(tmp_path, capsys, command, special):
+    # A listed special set must name a dart on every hyperedge: a missing
+    # one is not filled in with the default.
+    path, graph = TORUS, tmp_path / "graph.json"
+    argv = [command, path] + (["--out-graph", str(graph)] if command == "to-surface" else [])
+    if isinstance(special, list):
+        data = json.loads((FIXTURES / "torus_hypermap.json").read_text())
+        data["special"] = special
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(data))
+        argv[1] = str(path)
+    else:
+        argv += ["--special", special]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {len(special)} special darts for 2 hyperedges\n")
+    assert not graph.exists()
+
+
 def test_build_singular_basis_change_exit_2(tmp_path, capsys):
     bad = tmp_path / "T.txt"
     gf2.write_matrix(bad, np.zeros((6, 6), dtype=np.uint8))
@@ -378,3 +407,13 @@ def test_build_distance_eliminates_each_sector_once(monkeypatch, capsys):
     assert main(["build", TORUS, "--distance"]) == 0
     assert capsys.readouterr().out.startswith("n=6 k=2 d=2 dx=2 dz=2\n")
     assert rows == [2, 4, 6]
+
+
+def test_verify_prints_row_differences_when_incidence_differs(monkeypatch, capsys):
+    # With the array incidence builder giving the basis-changed torus code,
+    # verify takes the exit-1 path and prints the same rows as compare.
+    changed = transform(build_canonical(*load_hypermap(TORUS)), gf2.read_matrix(TORUS_T))
+    monkeypatch.setattr(surface, "_incidence", lambda *columns: (changed.hx, changed.hz))
+    assert main(["verify", TORUS]) == 1
+    lines = ["hypermap_code n=6 k=2", "surface_code n=6 k=2"]
+    assert capsys.readouterr() == ("\n".join(COMPARE_LINES[:1] + lines + COMPARE_LINES[1:]) + "\n", "")

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hypermap_codes import (
+    CssCode,
     Hypermap,
     NotBijectiveError,
     NotConnectedError,
@@ -11,6 +13,7 @@ from hypermap_codes import (
     Permutation,
     RotationGraph,
     SurfaceGraph,
+    boundary_pair,
     build_canonical,
     choose_special_darts,
     distance_bruteforce,
@@ -26,7 +29,7 @@ from hypermap_codes import (
     toric_rotation_graph,
     verify_equivalence,
 )
-from hypermap_codes import gf2, surface
+from hypermap_codes import gf2, load_hypermap, surface
 from hypermap_codes.surface import (
     rotation_graph_from_json,
     rotation_graph_to_json,
@@ -36,6 +39,7 @@ from hypermap_codes.surface import (
     surface_graph_to_json,
 )
 from util import (
+    FIXTURES,
     random_hypermap,
     random_rotation_graph,
     random_special_darts,
@@ -168,6 +172,76 @@ def test_hypermap_to_surface_matches_reference_rows():
     assert one_dart_edges and loops
 
 
+def test_verify_incidence_matches_surface_graph_paths(monkeypatch):
+    # The matrices verify builds from index arrays equal those of the
+    # SurfaceGraph object path and of the entry-by-entry reference.
+    built = []
+    original = surface._incidence
+
+    def recording(*columns):
+        built.append(original(*columns))
+        return built[-1]
+
+    monkeypatch.setattr(surface, "_incidence", recording)
+    rng = random.Random(89)
+    cases = [load_hypermap(FIXTURES / "torus_hypermap.json")]
+    cases += [graph_to_hypermap(toric_rotation_graph(L, L)) for L in range(2, 9)]
+    cases += [(H, random_special_darts(rng, H)) for H in (random_hypermap(rng, 1, 24) for _ in range(40))]
+    one_dart_edges = loops = 0
+    for H, S in cases:
+        built.clear()
+        assert verify_equivalence(H, S).equal
+        (hx, hz), = built
+        G = hypermap_to_surface(H, S)
+        code = surface_code(G)
+        assert np.array_equal(hx, code.hx) and np.array_equal(hz, code.hz)
+        ref_hx, ref_hz = reference_surface_code(G)
+        assert np.array_equal(hx, ref_hx) and np.array_equal(hz, ref_hz)
+        one_dart_edges += sum(len(e) == 1 for e in H.hyperedges().orbits)
+        loops += sum(a == b for a, b, _ in G.edges)
+    assert one_dart_edges and loops
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        pytest.param(lambda hz: hz[1:], id="face-dropped"),
+        pytest.param(lambda hz: np.vstack([hz, hz[:1]]), id="face-repeated"),
+    ],
+)
+@pytest.mark.parametrize("L", [3, 5])
+def test_closed_surface_check_same_for_graph_and_arrays(monkeypatch, faces, L):
+    # Dropping a face leaves its edges in 1 face, and repeating one puts
+    # them in 3; rows are dropped or repeated whole, so the code stays a
+    # valid CSS code and only the closed-surface check can object.
+    H, S = graph_to_hypermap(toric_rotation_graph(L, L))
+    canonical = boundary_pair(H, S)
+    bad = CssCode(canonical.hx, faces(canonical.hz))
+    G = hypermap_to_surface(H, S)
+    rows = [frozenset(np.asarray(G.edge_labels)[np.flatnonzero(row)].tolist()) for row in bad.hz]
+    # The first edge, in edge order, that is not in 0 or 2 faces.
+    uses = Counter(label for face in rows for label in face)
+    label = next(label for _, _, label in G.edges if uses[label] not in (0, 2))
+    assert uses[label] in (1, 3)
+    message = rf"^edge {label} appears in {uses[label]} faces; expected 0 or 2$"
+    with pytest.raises(ValueError, match=message):
+        SurfaceGraph(G.vertex_count, G.edges, tuple(rows))
+    monkeypatch.setattr(surface, "boundary_pair", lambda *args: bad)
+    with pytest.raises(ValueError, match=message):
+        verify_equivalence(H, S)
+    with pytest.raises(ValueError, match=message):
+        hypermap_to_surface(H, S)
+
+
+def test_surface_graph_errors_name_the_first_bad_entry():
+    with pytest.raises(ValueError, match=r"^edge 9 endpoint out of range$"):
+        SurfaceGraph(2, ((1, 2, 3), (1, 10**30, 9), (0, 1, 4)), ())
+    with pytest.raises(ValueError, match=r"^face \[3, 7\] uses unknown edge labels$"):
+        SurfaceGraph(2, ((1, 2, 3),), (frozenset({3}), frozenset({3, 7}), frozenset({8})))
+    with pytest.raises(ValueError, match=r"^edge 5 appears in 1 faces; expected 0 or 2$"):
+        SurfaceGraph(2, ((1, 2, 5), (1, 2, 3), (1, 2, 1)), (frozenset({5, 1}), frozenset({3, 1})))
+
+
 def test_verify_equivalence_builds_orbit_partitions_once(monkeypatch):
     built = []
     original = OrbitPartition.__post_init__
@@ -203,8 +277,8 @@ def test_verify_equivalence_ranks_identical_codes_once(monkeypatch):
     # A surface code with the same rows in another order is ranked on its own.
     original_incidence = surface._incidence
 
-    def reversed_rows(G):
-        hx, hz = original_incidence(G)
+    def reversed_rows(*columns):
+        hx, hz = original_incidence(*columns)
         return hx[::-1], hz[::-1]
 
     monkeypatch.setattr(surface, "_incidence", reversed_rows)
@@ -223,8 +297,8 @@ def test_verify_equivalence_reuses_only_an_identical_canonical_code(monkeypatch)
     # the surface code is built on its own, so its check still runs.
     original_incidence = surface._incidence
 
-    def cleared_hz_entry(G):
-        hx, hz = original_incidence(G)
+    def cleared_hz_entry(*columns):
+        hx, hz = original_incidence(*columns)
         hz = hz.copy()
         hz[0, np.flatnonzero(hz[0])[0]] = 0
         return hx, hz
