@@ -17,18 +17,24 @@ The two boundary matrices relative to that basis are the canonical code, a
 The chain condition ``p1 @ p2^t = 0`` is the CSS orthogonality condition,
 checked once when the code is constructed.
 
-:func:`boundary_pair` builds both matrices in one pass over per-dart index
-arrays (vertex, hyperedge, face, ``tau^-1``): the read-only arrays that the
-hypermap's frozen objects cache (``OrbitPartition.array``,
-``Permutation.array``), used as they are.  Every column has two toggled
-entries in each matrix: nonspecial dart ``d`` touches the vertices of ``d``
-and ``tau^-1(d)`` in ``p1``, and in ``p2`` the face of ``d`` and the face of
-its hyperedge's special dart, which the elimination replaces by the other
-darts of the hyperedge.  The per-face and per-dart helpers
-(:func:`face_dart_sum`, :func:`project_nonspecial`, :func:`dart_vertex_sum`)
-compute the same rows one at a time; tests use them as the reference.
-:func:`apply_basis_change` re-expresses the pair in another basis of the
-quotient space.
+:func:`boundary_pair` builds the code from four column index arrays, taken
+from per-dart index arrays (vertex, hyperedge, face, ``tau^-1``): the
+read-only arrays that the hypermap's frozen objects cache
+(``OrbitPartition.array``, ``Permutation.array``), used as they are.  Column
+``k``, nonspecial dart ``d``, toggles two rows in each matrix: the vertices
+of ``d`` and ``tau^-1(d)`` in ``p1``, and in ``p2`` the face of ``d`` and the
+face of its hyperedge's special dart, which the elimination replaces by the
+other darts of the hyperedge.  :meth:`CssCode.from_columns` checks the chain
+condition on those arrays by pairing supports, with no matrix product:
+entry ``(r, s)`` of ``hx @ hz^t`` is the parity of the number of keys
+``(r, s)`` among the four row pairs of every column, so the condition holds
+exactly when every key occurs an even number of times.  A code given as
+dense matrices (a transformed code, a file) is checked by one
+:func:`~hypermap_codes.gf2.mul` product instead.  The per-face and per-dart
+helpers (:func:`face_dart_sum`, :func:`project_nonspecial`,
+:func:`dart_vertex_sum`) compute the same rows one at a time; tests use them
+as the reference.  :func:`apply_basis_change` re-expresses the pair in
+another basis of the quotient space.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .hypermap import Hypermap, check_special_darts
+from .hypermap import Hypermap, _readonly, check_special_darts
 
 
 def face_dart_sum(H: Hypermap, face: int) -> np.ndarray:
@@ -111,8 +117,24 @@ def project_nonspecial(H: Hypermap, S: tuple[int, ...], x) -> np.ndarray:
     return out
 
 
+def _toggle_columns(rows: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``rows x len(a)`` matrix whose column ``k`` is ``e_a[k] + e_b[k]`` mod 2."""
+    M = np.zeros((rows, a.size), dtype=np.uint8)
+    cols = np.arange(a.size)
+    M[a, cols] = 1
+    M[b, cols] ^= 1
+    return M
+
+
 @dataclass(frozen=True)
 class CssCode:
+    """Generator matrices ``hx`` and ``hz`` (read-only ``uint8``), checked orthogonal over GF(2).
+
+    Every code is checked once, when it is built: from dense matrices by one
+    :func:`~hypermap_codes.gf2.mul` product, or by :meth:`from_columns` from
+    column index arrays, which the code then keeps as ``_columns``.
+    """
+
     hx: np.ndarray
     hz: np.ndarray
 
@@ -130,25 +152,41 @@ class CssCode:
         object.__setattr__(self, "hx", hx)
         object.__setattr__(self, "hz", hz)
 
+    @classmethod
+    def from_columns(cls, x_rows: int, x_ends: np.ndarray, z_rows: int, z_ends: np.ndarray) -> "CssCode":
+        """The code whose column ``k`` toggles rows ``x_ends[:, k]`` of ``hx`` and ``z_ends[:, k]`` of ``hz``.
+
+        ``x_ends`` and ``z_ends`` are ``2 x n`` index arrays; a column whose
+        two rows coincide is zero.  The chain condition is checked by
+        pairing supports: the keys ``(row_x, row_z)`` of every column, once
+        sorted, must pair up as equal neighbours.  The arrays are not
+        copied: they are made read-only in place and kept as ``_columns``.
+        """
+        if x_ends.shape[1] != z_ends.shape[1]:
+            raise ValueError(f"hx has {x_ends.shape[1]} columns but hz has {z_ends.shape[1]}")
+        # keys[i, j, k] pairs row x_ends[i, k] of hx with row z_ends[j, k] of hz.
+        keys = (x_ends[:, None] * z_rows + z_ends).ravel()
+        keys.sort()
+        if (keys[0::2] != keys[1::2]).any():
+            raise ValueError("hx and hz are not orthogonal over GF(2)")
+        code = cls.__new__(cls)
+        object.__setattr__(code, "hx", _readonly(_toggle_columns(x_rows, *x_ends)))
+        object.__setattr__(code, "hz", _readonly(_toggle_columns(z_rows, *z_ends)))
+        object.__setattr__(code, "_columns", (_readonly(x_ends), _readonly(z_ends)))
+        return code
+
     @property
     def n(self) -> int:
         return self.hx.shape[1]
-
-
-def _toggle_columns(rows: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``rows x len(a)`` matrix whose column ``k`` is ``e_a[k] + e_b[k]`` mod 2."""
-    M = np.zeros((rows, a.size), dtype=np.uint8)
-    cols = np.arange(a.size)
-    M[a, cols] = 1
-    M[b, cols] ^= 1
-    return M
 
 
 def boundary_pair(H: Hypermap, S: tuple[int, ...]) -> CssCode:
     """The canonical code: both boundary matrices in the special basis defined by ``S``.
 
     ``hx`` is the vertex boundary ``p1`` and ``hz`` the face boundary
-    ``p2``; columns follow :func:`nonspecial_darts`.
+    ``p2``; columns follow :func:`nonspecial_darts`.  The code is built, and
+    its chain condition checked, from its column arrays
+    (:meth:`CssCode.from_columns`).
     """
     S = check_special_darts(H, S)
     vertices, edges, faces = H.vertices(), H.hyperedges(), H.faces()
@@ -158,9 +196,12 @@ def boundary_pair(H: Hypermap, S: tuple[int, ...]) -> CssCode:
     special_of_edge = np.empty(len(edges), dtype=np.intp)
     special_of_edge[edge[special]] = special
     darts = _nonspecial(H.n_darts, S)
-    p1 = _toggle_columns(len(vertices), vertex[darts], vertex[tau_inv[darts]])
-    p2 = _toggle_columns(len(faces), face[darts], face[special_of_edge[edge[darts]]])
-    return CssCode(p1, p2)
+    return CssCode.from_columns(
+        len(vertices),
+        np.array((vertex[darts], vertex[tau_inv[darts]])),
+        len(faces),
+        np.array((face[darts], face[special_of_edge[edge[darts]]])),
+    )
 
 
 def apply_basis_change(code: CssCode, T) -> CssCode:

@@ -20,8 +20,11 @@ its inverse, and a :class:`Hypermap` keeps ``sigma * tau^-1``, whose orbit
 partition the face permutation in turn keeps.  The work is done on numpy
 index arrays: each permutation keeps one read-only 0-based image array
 (:attr:`Permutation.array`), and each :class:`OrbitPartition` one dart-to-orbit
-label array, found by pointer doubling.  Labels are range-checked as Python
-ints before any array is built, so a huge label is an error, not an overflow.
+label array, found by pointer doubling.  Cycle labels are read once, through
+:func:`operator.index` into one ``intp`` array, and range- and repeat-checked
+on it; a label that is not an integer or lies past int64 sends the reader to
+a scan of the cycles that names the first bad entry, so a huge label is an
+error, not an overflow.
 The cycle-ordered orbit tuples are built only when something reads them.
 """
 
@@ -80,8 +83,18 @@ def _labels_in_range(values, n: int) -> list[int] | None:
     return labels if not labels or (1 <= min(labels) and max(labels) <= n) else None
 
 
+def _read_cycles(cycles: list) -> tuple[np.ndarray, list[int]]:
+    """All labels of ``cycles`` in one ``intp`` array, each read once; and the cycle sizes.
+
+    Every label goes through :func:`operator.index`: one that is not an
+    integer raises ``TypeError``, one past int64 ``OverflowError``.
+    """
+    sizes = list(map(len, cycles))
+    return np.fromiter(map(index, chain.from_iterable(cycles)), np.intp, sum(sizes)), sizes
+
+
 def _raise_bad_cycle_entry(cycles, n: int) -> None:
-    """Raise the error for the first bad entry of ``cycles``, in reading order."""
+    """Raise the error for the first bad entry of ``cycles``, in reading order; return if none is bad."""
     seen: set[int] = set()
     for cycle in cycles:
         for x in list(map(index, cycle)):
@@ -90,7 +103,6 @@ def _raise_bad_cycle_entry(cycles, n: int) -> None:
             if x in seen:
                 raise NotBijectiveError(f"label {x} appears in two cycles")
             seen.add(x)
-    raise AssertionError("no bad cycle entry")
 
 
 @dataclass(frozen=True)
@@ -126,13 +138,24 @@ class Permutation:
         """
         n = index(n)
         cycles = list(cycles)
-        flat = _labels_in_range(chain.from_iterable(cycles), n)
-        if flat is None or len(set(flat)) != len(flat):
+        try:
+            labels, sizes = _read_cycles(cycles)
+        except (TypeError, OverflowError):
             _raise_bad_cycle_entry(cycles, n)
-        labels = np.array(flat, dtype=np.intp) - 1
+            raise  # no entry is bad: n and a label lie past int64
+        return cls._from_labels(cycles, labels, sizes, n)
+
+    @classmethod
+    def _from_labels(cls, cycles: list, labels: np.ndarray, sizes: list[int], n: int) -> "Permutation":
+        """:meth:`from_cycles` on the labels and sizes :func:`_read_cycles` read off ``cycles``."""
+        n = index(n)
+        if labels.size and (labels.min() < 1 or labels.max() > n or np.bincount(labels).max() > 1):
+            _raise_bad_cycle_entry(cycles, n)
+            raise AssertionError("no bad cycle entry")
+        labels = labels - 1
         # Each entry maps to the next, except that the last entry of a cycle
         # maps to the first; ``first`` holds where each nonempty cycle starts.
-        first = np.array(list(accumulate(filter(None, map(len, cycles)), initial=0)), dtype=np.intp)
+        first = np.array(list(accumulate(filter(None, sizes), initial=0)), dtype=np.intp)
         image = np.arange(n)
         image[labels[:-1]] = labels[1:]
         image[labels[first[1:] - 1]] = labels[first[:-1]]
@@ -278,8 +301,17 @@ class Hypermap:
         checked before anything of size ``n`` is allocated, so the cycles
         must be lists (or other collections), not one-shot iterators.
         """
-        cycles = list(chain(sigma_cycles, tau_cycles))
-        named = max(chain.from_iterable(cycles), default=0)
+        sigma_cycles, tau_cycles = list(sigma_cycles), list(tau_cycles)
+        cycles = sigma_cycles + tau_cycles
+        try:
+            labels, sizes = _read_cycles(cycles)
+        except (TypeError, OverflowError):
+            # The guards read the labels as given; each permutation then
+            # names its first bad entry.
+            labels = None
+            named = max(chain.from_iterable(cycles), default=0)
+        else:
+            named = int(labels.max(initial=0))
         if n > max(1, named):
             raise NotConnectedError(
                 f"dart {n} is fixed by sigma and tau, so it is a component of its own"
@@ -290,9 +322,13 @@ class Hypermap:
                 f"the cycles list {listed} labels for {n} darts, so some dart is"
                 " fixed by sigma and tau and is a component of its own"
             )
+        if labels is None:
+            return cls(Permutation.from_cycles(sigma_cycles, n), Permutation.from_cycles(tau_cycles, n))
+        k = len(sigma_cycles)
+        m = sum(sizes[:k])
         return cls(
-            Permutation.from_cycles(sigma_cycles, n),
-            Permutation.from_cycles(tau_cycles, n),
+            Permutation._from_labels(sigma_cycles, labels[:m], sizes[:k], n),
+            Permutation._from_labels(tau_cycles, labels[m:], sizes[k:], n),
         )
 
     @property

@@ -10,10 +10,11 @@ and ``2j`` at its second; these ids double as dart labels when a graph is
 reinterpreted as a hypermap.
 
 The conversion from a hypermap to its equivalent surface graph runs on
-index arrays, one column per nonspecial dart ``d`` in ascending order: the
-edge joins the vertices of ``d`` and of ``tau^-1(d)``, and the faces are
-the nonzeros of the face-boundary matrix ``hz`` of the canonical code
-(:func:`~hypermap_codes.chain.boundary_pair`), exactly the merged-face
+the column index arrays the canonical code keeps
+(:func:`~hypermap_codes.chain.boundary_pair`), one column per nonspecial
+dart ``d`` in ascending order: the edge joins the vertices of ``d`` and of
+``tau^-1(d)``, and the faces are the nonzeros of the face-boundary matrix
+``hz``, read off its two face rows per column, exactly the merged-face
 boundary the drawing-based procedure produces.  One check on column arrays
 (endpoints in range, face columns known, every edge in 0 or 2 faces) and
 one incidence builder serve :func:`verify_equivalence`, which builds no
@@ -61,7 +62,7 @@ class SurfaceGraph:
         sizes = list(map(len, faces))
         rows = np.arange(len(faces)).repeat(sizes)
         cols = np.fromiter((column.get(x, -1) for x in chain.from_iterable(faces)), np.intp, sum(sizes))
-        _check_closed(self.vertex_count, ends, rows, cols, labels, lambda f: sorted(faces[f]))
+        _check_closed(self.vertex_count, ends, rows, cols, labels.__getitem__, lambda f: sorted(faces[f]))
         object.__setattr__(self, "_columns", (labels, ends, rows, cols))
 
     @property
@@ -153,16 +154,16 @@ def surface_code(G: SurfaceGraph) -> CssCode:
     return CssCode(*_incidence(G.vertex_count, ends, rows, rank[cols], len(G.faces)))
 
 
-def _check_closed(vertex_count: int, ends, rows, cols, labels, face_labels) -> None:
+def _check_closed(vertex_count: int, ends, rows, cols, label, face_labels) -> None:
     """Raise unless the graph in column arrays lies on a closed surface.
 
-    Column ``k`` is edge ``labels[k]`` with 0-based ends ``ends[:, k]``; face
+    Column ``k`` is edge ``label(k)`` with 0-based ends ``ends[:, k]``; face
     ``rows[j]`` holds column ``cols[j]``; ``face_labels(f)`` names face ``f``.
     """
-    m = len(labels)
+    m = ends.shape[1]
     bad = np.flatnonzero(((ends < 0) | (ends >= vertex_count)).any(axis=0))
     if bad.size:
-        raise ValueError(f"edge {labels[bad[0]]} endpoint out of range")
+        raise ValueError(f"edge {label(bad[0])} endpoint out of range")
     bad = np.flatnonzero((cols < 0) | (cols >= m))
     if bad.size:
         raise ValueError(f"face {face_labels(rows[bad[0]])} uses unknown edge labels")
@@ -171,7 +172,7 @@ def _check_closed(vertex_count: int, ends, rows, cols, labels, face_labels) -> N
     bad = np.flatnonzero((uses != 0) & (uses != 2))
     if bad.size:
         k = bad[0]
-        raise ValueError(f"edge {labels[k]} appears in {uses[k]} faces; expected 0 or 2")
+        raise ValueError(f"edge {label(k)} appears in {uses[k]} faces; expected 0 or 2")
 
 
 def _incidence(vertex_count: int, ends, rows, cols, face_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,22 +182,34 @@ def _incidence(vertex_count: int, ends, rows, cols, face_count: int) -> tuple[np
     return _toggle_columns(vertex_count, *ends), hz
 
 
-def _surface_columns(H: Hypermap, S: tuple[int, ...], hz: np.ndarray):
-    """Checked ``(vertex_count, ends, rows, cols, labels)``; column ``k`` is nonspecial dart ``k``."""
-    darts = _nonspecial(H.n_darts, S)
-    ends, labels = _dart_ends(H, darts), darts + 1
-    rows, cols = hz.nonzero()
-    vertex_count = len(H.vertices())
+def _face_entries(face_ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of the nonzeros of the matrix whose column ``k`` toggles rows ``face_ends[:, k]``."""
+    cols = np.flatnonzero(face_ends[0] != face_ends[1])
+    return face_ends[:, cols].ravel(), np.tile(cols, 2)
+
+
+def _surface_columns(H: Hypermap, S: tuple[int, ...], code: CssCode):
+    """Checked ``(ends, rows, cols)`` of the canonical ``code``; column ``k`` is nonspecial dart ``k``.
+
+    ``code`` is built by :func:`~hypermap_codes.chain.boundary_pair`, whose
+    column arrays give the edge ends and the face entries.  Dart labels are
+    looked up only to name a bad edge or face.
+    """
+    ends, face_ends = code._columns
+    rows, cols = _face_entries(face_ends)
+
+    def labels():
+        return _nonspecial(H.n_darts, S) + 1
+
     _check_closed(
-        vertex_count, ends, rows, cols, labels, lambda f: sorted(labels[cols[rows == f]].tolist())
+        code.hx.shape[0],
+        ends,
+        rows,
+        cols,
+        lambda k: labels()[k],
+        lambda f: sorted(labels()[cols[rows == f]].tolist()),
     )
-    return vertex_count, ends, rows, cols, labels
-
-
-def _dart_ends(H: Hypermap, darts: np.ndarray) -> np.ndarray:
-    """``2 x len(darts)``: the 0-based vertices of each 0-based dart ``d`` and of ``tau^-1(d)``."""
-    vertex = H.vertices().array
-    return np.stack((vertex[darts], vertex[H.tau.inverse().array[darts]]))
+    return ends, rows, cols
 
 
 def hypermap_to_surface(H: Hypermap, S: tuple[int, ...] | None = None) -> SurfaceGraph:
@@ -209,12 +222,14 @@ def hypermap_to_surface(H: Hypermap, S: tuple[int, ...] | None = None) -> Surfac
     """
     if S is None:
         S = choose_special_darts(H)
-    hz = boundary_pair(H, S).hz
-    vertex_count, ends, rows, cols, labels = _surface_columns(H, S, hz)
-    face_labels = labels[cols].tolist()  # row-major, so grouped by face
-    bounds = rows.searchsorted(np.arange(hz.shape[0] + 1)).tolist()
+    code = boundary_pair(H, S)
+    ends, rows, cols = _surface_columns(H, S, code)
+    labels = _nonspecial(H.n_darts, S) + 1
+    order = rows.argsort(kind="stable")  # group the entries by face
+    face_labels = labels[cols[order]].tolist()
+    bounds = rows[order].searchsorted(np.arange(code.hz.shape[0] + 1)).tolist()
     faces = tuple(frozenset(face_labels[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return SurfaceGraph(vertex_count, tuple(zip(*(ends + 1).tolist(), labels.tolist())), faces)
+    return SurfaceGraph(code.hx.shape[0], tuple(zip(*(ends + 1).tolist(), labels.tolist())), faces)
 
 
 def intermediate_surface(H: Hypermap) -> SurfaceGraph:
@@ -226,7 +241,9 @@ def intermediate_surface(H: Hypermap) -> SurfaceGraph:
     """
     faces = [frozenset(orbit) for orbit in H.faces().orbits]
     faces += [frozenset(orbit) for orbit in H.hyperedges().orbits]
-    edges = zip(*(_dart_ends(H, np.arange(H.n_darts)) + 1).tolist(), range(1, H.n_darts + 1))
+    # Dart d joins the vertices of d and of tau^-1(d).
+    vertex = H.vertices().array + 1
+    edges = zip(vertex.tolist(), vertex[H.tau.inverse().array].tolist(), range(1, H.n_darts + 1))
     return SurfaceGraph(len(H.vertices()), tuple(edges), tuple(faces))
 
 
@@ -260,17 +277,18 @@ class EquivalenceReport:
 def verify_equivalence(H: Hypermap, S: tuple[int, ...] | None = None) -> EquivalenceReport:
     """Build the canonical code and its surface code and compare stabilizers.
 
-    The canonical code is built and checked once.  The surface graph stays in
-    index arrays, no :class:`SurfaceGraph`, checked to lie on a closed surface.
-    When its incidence matrices equal the canonical code's, that code is the
-    surface code too; otherwise the surface code is built and checked.
+    The canonical code is built from its column arrays and checked once, by
+    pairing supports.  The surface graph stays in those index arrays, no
+    :class:`SurfaceGraph`, checked to lie on a closed surface.  When its
+    incidence matrices equal the canonical code's, that code is the surface
+    code too; otherwise the surface code is built and checked on its own.
     """
     if S is None:
         S = choose_special_darts(H)
     hmap_code = boundary_pair(H, S)
     hmap_params = params(hmap_code)
-    vertex_count, ends, rows, cols, _ = _surface_columns(H, S, hmap_code.hz)
-    hx, hz = _incidence(vertex_count, ends, rows, cols, hmap_code.hz.shape[0])
+    ends, rows, cols = _surface_columns(H, S, hmap_code)
+    hx, hz = _incidence(hmap_code.hx.shape[0], ends, rows, cols, hmap_code.hz.shape[0])
     if np.array_equal(hmap_code.hx, hx) and np.array_equal(hmap_code.hz, hz):
         surf_code, surf_params = hmap_code, hmap_params
     else:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from hypermap_codes import (
     choose_special_darts,
     dart_vertex_sum,
     face_dart_sum,
+    graph_to_hypermap,
     hyperedge_dart_sum,
     hypermap_to_surface,
     nonspecial_darts,
     project_nonspecial,
+    toric_rotation_graph,
 )
 from hypermap_codes import chain, css, gf2
 from util import (
@@ -146,6 +149,72 @@ def test_boundary_pair_chain_condition_random():
         code = boundary_pair(H, choose_special_darts(H))
         assert not ((code.hx @ code.hz.T) % 2).any()
         assert not (code.hz.sum(axis=0) % 2).any()
+
+
+def _dense(rows, ends):
+    """The matrix whose column ``k`` toggles rows ``ends[:, k]``, one entry at a time."""
+    M = np.zeros((rows, ends.shape[1]), dtype=np.uint8)
+    for k, (a, b) in enumerate(ends.T):
+        M[a, k] ^= 1
+        M[b, k] ^= 1
+    return M
+
+
+def column_array_cases():
+    """``(x_rows, x_ends, z_rows, z_ends)`` of canonical codes and of random column arrays.
+
+    The canonical arrays come from toric 2-8 and 40 random hypermaps, each
+    also with one face incidence moved.  Random arrays have zero columns,
+    repeated columns and often one row; half of them list every column
+    twice, in shuffled order, so they are orthogonal unless one entry is
+    then changed.
+    """
+    rng = random.Random(97)
+    hypermaps = [graph_to_hypermap(toric_rotation_graph(L, L)) for L in range(2, 9)]
+    hypermaps += [(H, random_special_darts(rng, H)) for H in (random_hypermap(rng, 1, 24) for _ in range(40))]
+    cases = []
+    for H, S in hypermaps:
+        code = boundary_pair(H, S)
+        x_ends, z_ends = code._columns
+        assert not x_ends.flags.writeable and not z_ends.flags.writeable
+        cases.append((code.hx.shape[0], x_ends, code.hz.shape[0], z_ends))
+        if code.n:
+            moved = z_ends.copy()
+            moved[1, rng.randrange(code.n)] = rng.randrange(code.hz.shape[0])
+            cases.append((code.hx.shape[0], x_ends, code.hz.shape[0], moved))
+    draw = np.random.default_rng(97)
+    for _ in range(400):
+        x_rows, z_rows, n = (int(v) for v in draw.integers([1, 1, 0], [7, 7, 9]))
+        x_ends, z_ends = draw.integers(0, x_rows, (2, n)), draw.integers(0, z_rows, (2, n))
+        for ends in (x_ends, z_ends):
+            zero = draw.random(n) < 0.2
+            ends[1, zero] = ends[0, zero]
+        if draw.random() < 0.5:
+            order = draw.permutation(2 * n)
+            x_ends, z_ends = np.tile(x_ends, 2)[:, order], np.tile(z_ends, 2)[:, order]
+            if n and draw.random() < 0.3:
+                z_ends[0, 0] = draw.integers(z_rows)
+        elif n:
+            x_ends[:, -1], z_ends[:, -1] = x_ends[:, 0], z_ends[:, 0]
+        cases.append((x_rows, x_ends, z_rows, z_ends))
+    return cases
+
+
+def test_pairing_verdict_matches_product():
+    verdicts = Counter()
+    for x_rows, x_ends, z_rows, z_ends in column_array_cases():
+        hx, hz = _dense(x_rows, x_ends), _dense(z_rows, z_ends)
+        odd = bool(np.any(gf2.mul(hx, hz.T)))
+        verdicts[odd] += 1
+        if odd:
+            with pytest.raises(ValueError, match=r"^hx and hz are not orthogonal over GF\(2\)$"):
+                CssCode.from_columns(x_rows, x_ends, z_rows, z_ends)
+        else:
+            code = CssCode.from_columns(x_rows, x_ends, z_rows, z_ends)
+            assert np.array_equal(code.hx, hx) and np.array_equal(code.hz, hz)
+    assert verdicts[True] > 60 and verdicts[False] > 200
+    with pytest.raises(ValueError, match="^hx has 2 columns but hz has 3$"):
+        CssCode.from_columns(1, np.zeros((2, 2), dtype=np.intp), 1, np.zeros((2, 3), dtype=np.intp))
 
 
 def test_boundary_pair_matches_reference_helpers():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -213,7 +214,9 @@ def test_verify_incidence_matches_surface_graph_paths(monkeypatch):
 def test_closed_surface_check_same_for_graph_and_arrays(monkeypatch, faces, L):
     # Dropping a face leaves its edges in 1 face, and repeating one puts
     # them in 3; rows are dropped or repeated whole, so the code stays a
-    # valid CSS code and only the closed-surface check can object.
+    # valid CSS code and only the closed-surface check can object.  The
+    # canonical code's face columns always toggle two rows, so the array
+    # path gets the bad faces as the face entries it reads off them.
     H, S = graph_to_hypermap(toric_rotation_graph(L, L))
     canonical = boundary_pair(H, S)
     bad = CssCode(canonical.hx, faces(canonical.hz))
@@ -226,7 +229,7 @@ def test_closed_surface_check_same_for_graph_and_arrays(monkeypatch, faces, L):
     message = rf"^edge {label} appears in {uses[label]} faces; expected 0 or 2$"
     with pytest.raises(ValueError, match=message):
         SurfaceGraph(G.vertex_count, G.edges, tuple(rows))
-    monkeypatch.setattr(surface, "boundary_pair", lambda *args: bad)
+    monkeypatch.setattr(surface, "_face_entries", lambda face_ends: bad.hz.nonzero())
     with pytest.raises(ValueError, match=message):
         verify_equivalence(H, S)
     with pytest.raises(ValueError, match=message):
@@ -309,32 +312,55 @@ def test_verify_equivalence_reuses_only_an_identical_canonical_code(monkeypatch)
 
 
 def test_each_code_is_checked_once(monkeypatch):
-    # One orthogonality product per code built: the canonical code, which
-    # verify also reuses as the surface code when the incidence matches.
-    products = []
-    original = gf2.mul
+    # One orthogonality check per code built.  The canonical code is checked
+    # by pairing its column supports, and verify reuses it as the surface
+    # code when the incidence matches; a surface code that differs is
+    # checked on its own, by one product.
+    checks = []
+    original_mul, original_from_columns = gf2.mul, CssCode.from_columns
 
-    def counting(A, B):
-        products.append((np.shape(A), np.shape(B)))
-        return original(A, B)
+    def counting_mul(A, B):
+        checks.append((np.shape(A), np.shape(B)))
+        return original_mul(A, B)
 
-    monkeypatch.setattr(gf2, "mul", counting)
+    def counting_from_columns(cls, x_rows, x_ends, z_rows, z_ends):
+        checks.append(("pairing", x_rows, z_rows, x_ends.shape[1]))
+        return original_from_columns(x_rows, x_ends, z_rows, z_ends)
+
+    monkeypatch.setattr(gf2, "mul", counting_mul)
+    monkeypatch.setattr(CssCode, "from_columns", classmethod(counting_from_columns))
     H, S = graph_to_hypermap(toric_rotation_graph(4, 4))
     build_canonical(H, S)
-    assert len(products) == 1
+    assert checks == [("pairing", 16, 16, 32)]
     for L in (4, 32):
         H, S = graph_to_hypermap(toric_rotation_graph(L, L))
-        products.clear()
+        checks.clear()
         assert verify_equivalence(H, S).equal
-        assert products == [((L * L, 2 * L * L), (2 * L * L, L * L))]
+        assert checks == [("pairing", L * L, L * L, 2 * L * L)]
+
+    original_incidence = surface._incidence
+    monkeypatch.setattr(surface, "_incidence", lambda *columns: [M[::-1] for M in original_incidence(*columns)])
+    H, S = graph_to_hypermap(toric_rotation_graph(4, 4))
+    checks.clear()
+    assert verify_equivalence(H, S).equal
+    assert checks == [("pairing", 16, 16, 32), ((16, 32), (32, 16))]
 
 
-def test_verify_equivalence_toric_24x24():
-    H, S = graph_to_hypermap(toric_rotation_graph(24, 24))
-    report = verify_equivalence(H, S)
+@pytest.mark.parametrize("L", [24, 48])
+def test_verify_equivalence_toric(L):
+    # The chain condition is checked without a dense product: at 48x48 the
+    # product alone peaked at 243 MiB.
+    H, S = graph_to_hypermap(toric_rotation_graph(L, L))
+    tracemalloc.start()
+    try:
+        report = verify_equivalence(H, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert report.equal
     for p in (report.hypermap_params, report.surface_params):
-        assert (p.n, p.k) == (1152, 2)
+        assert (p.n, p.k) == (2 * L * L, 2)
+    assert peak < 96 * 2**20
 
 
 def test_incidence_columns_have_weight_zero_or_two():

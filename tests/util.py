@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import numpy as np
 from hypermap_codes import (
     CssCode,
     Hypermap,
+    NotBijectiveError,
     NotConnectedError,
     Permutation,
     RotationGraph,
@@ -97,6 +99,48 @@ def reference_inverse(p):
 def reference_product(p, q):
     """Image tuple of ``p * q`` (``q`` first), one dart at a time."""
     return tuple(p.image[q.image[d] - 1] for d in range(p.n))
+
+
+def reference_from_cycles(cycles, n):
+    """Image tuple of :meth:`Permutation.from_cycles`, one label at a time, with the same errors.
+
+    Each cycle's labels go through :func:`operator.index`, then are checked
+    in reading order: in ``1..n``, and not seen before in any cycle.
+    """
+    n = index(n)
+    image = list(range(1, n + 1))
+    seen = set()
+    for cycle in cycles:
+        cycle = [index(x) for x in cycle]
+        for x in cycle:
+            if not 1 <= x <= n:
+                raise ValueError(f"cycle entry {x} out of range 1..{n}")
+            if x in seen:
+                raise NotBijectiveError(f"label {x} appears in two cycles")
+            seen.add(x)
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            image[x - 1] = y
+    return tuple(image)
+
+
+def reference_hypermap_from_cycles(n, sigma_cycles, tau_cycles):
+    """``(sigma image, tau image)`` of :meth:`Hypermap.from_cycles`, with the same errors.
+
+    Dart ``n`` must be named and at least ``n`` labels listed (unless
+    ``n == 1``); then each permutation is read by
+    :func:`reference_from_cycles` and the pair checked connected.
+    """
+    labels = [x for cycle in [*sigma_cycles, *tau_cycles] for x in cycle]
+    if n > max(1, max(labels, default=0)):
+        raise NotConnectedError(f"dart {n} is fixed by sigma and tau, so it is a component of its own")
+    if n > max(1, len(labels)):
+        raise NotConnectedError(
+            f"the cycles list {len(labels)} labels for {n} darts, so some dart is"
+            " fixed by sigma and tau and is a component of its own"
+        )
+    sigma, tau = reference_from_cycles(sigma_cycles, n), reference_from_cycles(tau_cycles, n)
+    Hypermap(Permutation(sigma), Permutation(tau))
+    return sigma, tau
 
 
 def reference_surface_code(G):
