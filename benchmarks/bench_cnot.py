@@ -1,13 +1,16 @@
 """Benchmark of CNOT synthesis and the basis change of a code.
 
 For each code length ``n`` and a dense or sparse random invertible basis
-change ``T``, three calls are timed, best of ``--repeats`` runs:
+change ``T``, four calls are timed, best of ``--repeats`` runs:
 ``cnot_circuit(T)`` (elementary-factor decomposition), ``transform(code, T)``
-(the circuit applied to the canonical code) and
+(the circuit applied to the canonical code),
 ``code_from_boundary_change(H, S, T)`` (the independent boundary-pair
-route).  The code is the canonical code of a random hypermap whose
-permutations are both 3-cycles.  Each line also gives the gate count
-against the ``n^2`` bound, and the two routes are checked to agree.
+route) and ``gf2.parse_matrix`` of the text ``gf2.format_matrix(T)`` writes
+(the one-pass read of the written layout).  The code is the canonical code
+of a random hypermap whose permutations are both 3-cycles.  Each line also
+gives the gate count against the ``n^2`` bound.  The two routes must agree
+and the text must read back as ``T``; otherwise the script exits non-zero
+with one line.
 
 Run:  python3 benchmarks/bench_cnot.py [--repeats N]
 """
@@ -83,7 +86,7 @@ def main() -> None:
 
     header = (
         f"{'case':<14} {'gates':>6} {'n^2':>6} {'ratio':>6} "
-        f"{'circuit [s]':>12} {'transform [s]':>14} {'boundary [s]':>13}"
+        f"{'circuit [s]':>12} {'transform [s]':>14} {'boundary [s]':>13} {'parse [s]':>10}"
     )
     print(header)
     print("-" * len(header))
@@ -99,9 +102,12 @@ def main() -> None:
             and np.array_equal(via_gates.hz, via_boundary.hz)
         ):
             raise SystemExit(f"{label}: the CNOT and boundary-change routes disagree")
+        t_parse, parsed = best_of(args.repeats, gf2.parse_matrix, gf2.format_matrix(T))
+        if not np.array_equal(parsed, T):
+            raise SystemExit(f"{label}: parse_matrix(format_matrix(T)) does not return T")
         print(
             f"{label:<14} {len(circuit):>6} {n * n:>6} {len(circuit) / (n * n):>6.3f} "
-            f"{t_circuit:>12.6f} {t_transform:>14.6f} {t_boundary:>13.6f}"
+            f"{t_circuit:>12.6f} {t_transform:>14.6f} {t_boundary:>13.6f} {t_parse:>10.6f}"
         )
 
 

@@ -112,16 +112,19 @@ def cnot_circuit(T) -> CnotCircuit:
     return CnotCircuit(gf2.decompose_elementary(T), T.shape[0])
 
 
-def _apply_gates(code: CssCode, gates) -> CssCode:
-    """Apply 1-based ``(control, target)`` gates in order to one working copy, then validate once.
+def _apply_gates(code: CssCode, gates: np.ndarray) -> CssCode:
+    """Apply the gates, in order, to one working copy of the code, then validate once.
 
+    Row ``l`` of ``gates`` is the 1-based ``(control, target)`` of gate ``l``.
     Every column is held as a Python int (packed as a row of the transpose),
     so a gate is one XOR of two ints in each sector; a leading unused entry
-    lets the 1-based labels index the column lists directly.  The gates must
-    already be checked by :class:`CnotCircuit`.
+    lets the 1-based labels index the column lists directly.  The labels are
+    read as one flat list, taken in pairs.  The gates must already be
+    checked by :class:`CnotCircuit`.
     """
     xcols, zcols = [0, *gf2._pack_rows(code.hx.T)], [0, *gf2._pack_rows(code.hz.T)]
-    for c, t in gates:
+    labels = iter(gates.ravel().tolist())
+    for c, t in zip(labels, labels):
         xcols[t] ^= xcols[c]
         zcols[c] ^= zcols[t]
     hx = gf2._unpack_rows(xcols[1:], code.hx.shape[0]).T
@@ -135,7 +138,7 @@ def apply_cnot(code: CssCode, gate) -> CssCode:
     The gate is checked as a one-gate :class:`CnotCircuit` on ``code.n``
     qubits, then runs through the same in-place loop as :func:`transform`.
     """
-    return _apply_gates(code, CnotCircuit([gate], code.n).gates.tolist())
+    return _apply_gates(code, CnotCircuit([gate], code.n).gates)
 
 
 def transform(code: CssCode, T) -> CssCode:
@@ -150,7 +153,7 @@ def transform(code: CssCode, T) -> CssCode:
     circuit = cnot_circuit(T)
     if circuit.n != code.n:
         raise ValueError(f"basis change acts on {circuit.n} qubits, code has {code.n}")
-    return _apply_gates(code, circuit.gates.tolist())
+    return _apply_gates(code, circuit.gates)
 
 
 def _same_row_space(A, B) -> bool:
@@ -181,6 +184,12 @@ def format_stabilizer(code: CssCode) -> str:
 
 
 def parse_stabilizer(text: str) -> CssCode:
+    # The written layout "Hx\n<matrix>Hz\n<matrix>" is split at its one
+    # "\nHz\n": with no other H in the text, the line loop below would find
+    # the same two sections.
+    split = text.find("\nHz\n")
+    if text.startswith("Hx\n") and split >= 0 and text.count("H") == 2:
+        return CssCode(gf2.parse_matrix(text[3 : split + 1]), gf2.parse_matrix(text[split + 4 :]))
     # Each section keeps its blank lines: they are the rows of a matrix with
     # no columns (see gf2.parse_matrix).
     blocks: dict[str, list[str]] = {}

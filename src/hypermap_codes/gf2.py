@@ -3,8 +3,8 @@
 Matrices are plain ``numpy.ndarray`` objects with dtype uint8 and entries in
 {0, 1}; all arithmetic is mod 2.  Every elimination (``row_echelon``,
 ``rank``, ``invert``, row-space membership, CNOT synthesis) packs each row
-(each column, for synthesis) into a Python int once per matrix and works by
-int XOR; products go through BLAS (:func:`mul`).
+into a Python int once per matrix and works by int XOR; products go through
+BLAS (:func:`mul`).
 
 The row-space API is one pair: :func:`row_basis` eliminates a matrix once
 into its echelon basis, whose size is the rank, and :func:`rows_outside`
@@ -19,8 +19,10 @@ labels used in every file format and CLI surface.  A decomposition is one
 which the CNOT path uses as its gate list; no per-factor object is built.
 
 The module also owns the plain-text matrix format used by all import/export:
-a first line ``"rows cols"`` followed by one line of space-separated 0/1
-entries per row.
+a first line ``"rows cols"`` followed by one line of whitespace-separated
+0/1 entries per row.  :func:`format_matrix` writes single spaces and ``\\n``
+line ends, and :func:`parse_matrix` reads that exact layout in one pass and
+any other layout token by token.
 """
 
 from __future__ import annotations
@@ -259,31 +261,37 @@ def decompose_elementary(T) -> np.ndarray:
     if M.shape[1] != n:
         raise ValueError(f"matrix is {M.shape[0]}x{M.shape[1]}, not square")
 
-    # Column c of M is the int cols[c], bit r being M[r, c], so a column
-    # addition is one int XOR.  Factor k adds column pairs[2k] into column
-    # pairs[2k + 1] (0-based).
-    cols = _pack_rows(M.T)
-    pairs: list[int] = []
+    # Row r of M is the int rows[r], bit c being M[r, c], so adding column
+    # c into column t flips bit t of each row holding bit c.  When step i
+    # starts, rows 0..i-1 are unit rows, which no factor of this step or a
+    # later one touches, so only rows i.. are updated.  Step i is recorded
+    # as one int: bit j < n marks the repair factor adding column j into
+    # column i, and bit n + t the factor adding column i into column t.
+    rows = _pack_rows(M)
+    steps: list[int] = []
     for i in range(n):
         bit = 1 << i
-        if not cols[i] & bit:
-            j = next((j for j in range(i + 1, n) if cols[j] & bit), None)
-            if j is None:
+        step = 0
+        if not rows[i] & bit:
+            above = rows[i] >> (i + 1)
+            if not above:
                 raise SingularMatrixError(f"matrix is singular at row {i + 1}")
-            cols[i] ^= cols[j]
-            pairs += (j, i)
-        # Clearing row i adds column i into every other column with a 1 there.
-        # These factors share their source, so they commute and stay in
-        # ascending column order.
-        col = cols[i]
-        for j, c in enumerate(cols):
-            if c & bit and j != i:
-                cols[j] = c ^ col
-                pairs += (i, j)
+            step = (above & -above) << (i + 1)  # bit j: the lowest set bit above i
+            rows[i:] = [r ^ bit if r & step else r for r in rows[i:]]
+        # Clearing row i adds column i into each column of targets, so every
+        # row with bit i takes the whole mask.  These factors share their
+        # source, so they commute and run in ascending column order.
+        targets = rows[i] ^ bit
+        rows[i:] = [r ^ targets if r & bit else r for r in rows[i:]]
+        steps.append(step | targets << n)
     # The applied product reduces T to the identity, so it equals T^-1; each
     # factor is its own inverse, hence the reversed list multiplies to T.
-    assert cols == [1 << c for c in range(n)]
-    return np.array(pairs, dtype=np.intp).reshape(-1, 2)[::-1] + 1
+    assert rows == [1 << c for c in range(n)]
+    # One unpacking expands every step, repair first, targets ascending.
+    i, at = np.divmod(np.flatnonzero(_unpack_rows(steps, 2 * n)), 2 * n)
+    repair = at < n
+    pairs = np.stack([np.where(repair, at, i), np.where(repair, i, at - n)], axis=1)
+    return pairs[::-1] + 1
 
 
 def multiply_factors(factors, n: int) -> np.ndarray:
@@ -315,14 +323,48 @@ def _header_count(token: str, line: str) -> int:
     raise ValueError(f"bad matrix header {line!r}, expected 'rows cols'")
 
 
+def _parse_written(text: str) -> np.ndarray | None:
+    """The matrix of ``text`` if it is laid out exactly as :func:`format_matrix` writes it, else None.
+
+    That layout is the header line ``f"{rows} {cols}\\n"`` with ``cols > 0``,
+    then ``2 * cols`` characters per row: an entry ``0``/``1`` at each even
+    offset, a space at each odd one but the last, which is ``\\n``.  Every
+    check is a ``str`` operation, and the length is checked first, so no
+    copy is larger than the text.
+    """
+    end = text.find("\n")
+    head = text[:end]
+    r, _, c = head.partition(" ")
+    # Counts that match the length have no more digits than the length.
+    if not (0 < end <= 2 * len(str(len(text))) + 1 and head.isascii() and r.isdigit() and c.isdigit()):
+        return None
+    rows, cols = int(r), int(c)
+    body = text[end + 1 :]
+    if cols == 0 or len(body) != rows * 2 * cols or head != f"{rows} {cols}":
+        return None
+    if body[1::2] != (" " * (cols - 1) + "\n") * rows:
+        return None
+    entries = body[::2]
+    if entries.replace("0", "").replace("1", ""):
+        return None
+    M = np.frombuffer(entries.encode("ascii"), dtype=np.uint8) - ord("0")
+    return M.reshape(rows, cols)
+
+
 def parse_matrix(text: str) -> np.ndarray:
     """Parse the plain-text matrix format.
 
-    The header must be two ASCII digit strings.  Row and entry counts are
-    checked against it before anything is allocated.  A row of no entries
-    is an empty line, so a matrix with no columns has no row lines, and
-    its row count is checked against the blank lines instead.
+    Text in the exact layout of :func:`format_matrix` is read in one pass
+    (:func:`_parse_written`); any other text goes through the token parser
+    below, which gives every error message.  The header must be two ASCII
+    digit strings.  Row and entry counts are checked against it before
+    anything is allocated.  A row of no entries is an empty line, so a
+    matrix with no columns has no row lines, and its row count is checked
+    against the blank lines instead.
     """
+    M = _parse_written(text)
+    if M is not None:
+        return M
     raw = text.splitlines()
     lines = [ln.strip() for ln in raw if ln.strip()]
     if not lines:

@@ -71,6 +71,19 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+# The largest n for which numpy can hold an intp array of n entries: its
+# byte size must itself fit in an intp.
+_MAX_SIZE = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
+
+
+def _checked_size(n) -> int:
+    """``n`` through :func:`operator.index`, checked to lie in ``0.._MAX_SIZE`` before any array is built."""
+    n = index(n)
+    if not 0 <= n <= _MAX_SIZE:
+        raise ValueError(f"permutation size n={n} out of range 0..{_MAX_SIZE}")
+    return n
+
+
 def _labels_in_range(values, n: int) -> list[int] | None:
     """``values`` through :func:`operator.index` if all lie in ``1..n``, else ``None``.
 
@@ -127,16 +140,17 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
+        return cls(tuple(range(1, _checked_size(n) + 1)))
 
     @classmethod
     def from_cycles(cls, cycles, n: int) -> "Permutation":
         """Build from disjoint cycles of 1-based labels; fixed points may be omitted.
 
         Each cycle must be a collection: on bad input the cycles are read a
-        second time to name the first bad entry.
+        second time to name the first bad entry.  ``n`` must lie in
+        ``0.._MAX_SIZE``, the sizes of an ``intp`` array numpy can hold.
         """
-        n = index(n)
+        n = _checked_size(n)
         cycles = list(cycles)
         try:
             labels, sizes = _read_cycles(cycles)

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from hypermap_codes import gf2
-from util import random_invertible, random_sparse_invertible, reference_decompose_elementary
+from util import (
+    random_invertible,
+    random_sparse_invertible,
+    reference_decompose_elementary,
+    reference_parse_matrix,
+)
 
 # Stabilizer matrices of the torus worked example, in the package's face order.
 TORUS_HX = np.ones((2, 6), dtype=np.uint8)
@@ -246,13 +251,24 @@ def test_format_matrix_matches_row_by_row_text():
         lines = [f"{rows} {cols}"] + [" ".join(map(str, row)) for row in M.tolist()]
         text = gf2.format_matrix(M)
         assert text == "\n".join(lines) + "\n"
-        assert np.array_equal(gf2.parse_matrix(text), M)
+        # With columns, this is the one-pass layout; it must read as the token parser reads it.
+        got = gf2.parse_matrix(text)
+        assert got.dtype == np.uint8 and got.flags.writeable
+        assert np.array_equal(got, M) and np.array_equal(reference_parse_matrix(text), M)
 
 
 def test_parse_matrix_ignores_blank_lines_and_spacing():
     M = gf2.parse_matrix("\n 2  3 \n\n1 0   1\n\t0 0 1 \n\n")
     assert M.dtype == np.uint8
     assert M.tolist() == [[1, 0, 1], [0, 0, 1]]
+
+
+def test_parse_matrix_reads_any_line_separator():
+    # NEL, CRLF, tabs, U+2028 and NBSP are not the written layout: the token parser reads them.
+    expected = [[0, 1], [1, 0]]
+    for text in ["2 2\n0 1\x851 0\n", "2 2\r\n0\t1\r\n1 0\r\n", "2 2\n0 1\u20281\u00a00"]:
+        assert gf2.parse_matrix(text).tolist() == expected
+        assert reference_parse_matrix(text).tolist() == expected
 
 
 @pytest.mark.parametrize(
@@ -276,6 +292,9 @@ def test_parse_matrix_ignores_blank_lines_and_spacing():
         ("2 0\n\n0\n", "expected 2 matrix rows, found 1"),
         ("3 0\n\n", "expected 3 matrix rows, found 1"),
         ("1000000000000 0\n\n\n", "expected 1000000000000 matrix rows, found 2"),
+        # "\r" ends a line, so the header is "0" alone, although the first
+        # "\n" comes after "0\r2".
+        ("0\r2\n", "bad matrix header '0', expected 'rows cols'"),
     ],
 )
 def test_parse_matrix_error_messages(text, message):

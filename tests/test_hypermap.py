@@ -106,6 +106,35 @@ def test_from_cycles_names_first_bad_entry_in_reading_order(cycles, error, messa
         Permutation.from_cycles(cycles, 3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda n: Permutation.from_cycles([], n), id="from_cycles"),
+        pytest.param(lambda n: Permutation.from_cycles([[1, 2**62]], n), id="from_cycles-huge-label"),
+        pytest.param(Permutation.identity, id="identity"),
+    ],
+)
+@pytest.mark.parametrize("n", [-1, -3, 2**63 - 1, 2**63, 2**64], ids=["-1", "-3", "2**63-1", "2**63", "2**64"])
+def test_size_out_of_range_is_one_line_error(build, n):
+    # Past the sizes of an intp array numpy can hold, or negative: rejected
+    # before any array is built, with a message naming n.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^permutation size n={n} out of range 0\.\.\d+$"):
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_size_guard_keeps_small_sizes():
+    assert Permutation.identity(0).n == 0
+    assert Permutation.from_cycles([], 0).n == 0
+    assert Permutation.from_cycles([[1, 2]], 4).image == (2, 1, 3, 4)
+    assert Permutation.identity(np.int64(3)) == Permutation.identity(3)
+
+
 def test_identity_orbits():
     parts = Permutation.identity(3).orbits()
     assert parts.orbits == ((1,), (2,), (3,))

@@ -402,3 +402,65 @@ def golay_css():
         G[r, r : r + 12] = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
     H = gf2.kernel_basis(G)
     return CssCode(H, H)
+
+
+def _reference_header_count(token, line):
+    if token.isascii() and token.isdigit():
+        return int(token)
+    if token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
+        raise ValueError("matrix dimensions must be nonnegative")
+    raise ValueError(f"bad matrix header {line!r}, expected 'rows cols'")
+
+
+def reference_parse_matrix(text):
+    """The token parser of :func:`gf2.parse_matrix`, with the same errors, for any layout.
+
+    Lines are ``str.splitlines`` lines and tokens ``str.split`` tokens; a
+    matrix with no columns counts blank lines as its rows.
+    """
+    raw = text.splitlines()
+    lines = [ln.strip() for ln in raw if ln.strip()]
+    if not lines:
+        raise ValueError("empty matrix text")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ValueError(f"bad matrix header {lines[0]!r}, expected 'rows cols'")
+    rows, cols = (_reference_header_count(tok, lines[0]) for tok in header)
+    found = len(lines) - 1
+    if cols == 0 and found == 0:
+        found = len(raw) - 1
+        if found >= rows:
+            return np.zeros((rows, 0), dtype=np.uint8)
+    if found != rows:
+        raise ValueError(f"expected {rows} matrix rows, found {found}")
+    M = np.zeros((rows, cols), dtype=np.uint8)
+    for r, line in enumerate(lines[1:]):
+        row = line.split()
+        if len(row) != cols:
+            raise ValueError(f"row {r + 1} has {len(row)} entries, expected {cols}")
+    for r, line in enumerate(lines[1:]):
+        for c, tok in enumerate(line.split()):
+            if tok not in ("0", "1"):
+                raise ValueError(f"bad matrix entry {tok!r} in row {r + 1}")
+            M[r, c] = int(tok)
+    return M
+
+
+def reference_parse_stabilizer(text):
+    """The ``Hx``/``Hz`` section loop of :func:`css.parse_stabilizer`, through :func:`reference_parse_matrix`."""
+    blocks = {}
+    current = None
+    for ln in text.splitlines(keepends=True):
+        name = ln.strip()
+        if name in ("Hx", "Hz"):
+            if name in blocks:
+                raise ValueError(f"duplicate {name} section")
+            current = blocks.setdefault(name, [])
+        elif current is not None:
+            current.append(ln)
+        elif name:
+            raise ValueError(f"unexpected line {name!r} before Hx/Hz section")
+    for name in ("Hx", "Hz"):
+        if name not in blocks:
+            raise ValueError(f"missing {name} section")
+    return CssCode(reference_parse_matrix("".join(blocks["Hx"])), reference_parse_matrix("".join(blocks["Hz"])))
