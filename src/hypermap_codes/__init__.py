@@ -11,7 +11,6 @@ from .chain import (
     boundary_pair,
     dart_vertex_sum,
     face_dart_sum,
-    hyperedge_dart_sum,
     nonspecial_darts,
     project_nonspecial,
 )

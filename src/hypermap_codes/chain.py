@@ -69,15 +69,6 @@ def dart_vertex_sum(H: Hypermap, dart: int) -> np.ndarray:
     return out
 
 
-def hyperedge_dart_sum(H: Hypermap, edge: int) -> np.ndarray:
-    """Characteristic vector (length ``|W|``) of the darts on hyperedge ``edge``."""
-    orbit = H.hyperedges().orbits[edge]
-    out = np.zeros(H.n_darts, dtype=np.uint8)
-    for d in orbit:
-        out[d - 1] = 1
-    return out
-
-
 def _nonspecial(n_darts: int, S: tuple[int, ...]) -> np.ndarray:
     """0-based darts not in ``S``, ascending: the column order of the canonical code."""
     special = np.zeros(n_darts + 1, dtype=bool)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a semantically valid input fails a
-verification (unequal stabilizers), 2 on malformed or invalid input.
+verification (``compare`` of unequal stabilizers), 2 on malformed or
+invalid input.
 Reports are line-oriented ``key=value`` where machine-readable.
 """
 
@@ -112,10 +113,7 @@ def cmd_verify(args) -> int:
     hp, sp = report.hypermap_params, report.surface_params
     print(f"hypermap_code n={hp.n} k={hp.k}")
     print(f"surface_code n={sp.n} k={sp.k}")
-    if report.equal:
-        return 0
-    _print_row_space_diff(report.hypermap_code, report.surface_code)
-    return 1
+    return 0 if report.equal else 1
 
 
 def _print_row_space_diff(a: css.CssCode, b: css.CssCode) -> None:
@@ -187,7 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="hypermap JSON output")
     p.set_defaults(func=cmd_from_graph)
 
-    p = sub.add_parser("verify", help="check hypermap code == surface code of its graph")
+    p = sub.add_parser(
+        "verify",
+        help="build and check the canonical code, which is the surface code of its graph",
+    )
     p.add_argument("hypermap", help="hypermap JSON file")
     p.add_argument("--special", help="comma-separated special darts, one per hyperedge")
     p.set_defaults(func=cmd_verify)

@@ -317,7 +317,12 @@ def format_matrix(M) -> str:
 
 def _header_count(token: str, line: str) -> int:
     if token.isascii() and token.isdigit():
-        return int(token)
+        # Bounded before int(), which refuses past 4300 digits, and by the
+        # largest array dimension numpy allows.
+        digits, largest = token.lstrip("0") or "0", np.iinfo(np.intp).max
+        if len(digits) > len(str(largest)) or int(digits) > largest:
+            raise ValueError(f"matrix dimensions must be at most {largest}")
+        return int(digits)
     if token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
         raise ValueError("matrix dimensions must be nonnegative")
     raise ValueError(f"bad matrix header {line!r}, expected 'rows cols'")

@@ -219,8 +219,8 @@ class OrbitPartition:
     every matrix in the package.
     ``array[d - 1]`` is the 0-based position of the orbit holding dart ``d``
     (read-only ``intp``), and ``smallest`` lists the smallest dart of each
-    orbit, in orbit order.  ``labels`` (``array`` as a tuple) and ``orbits``
-    (each cycle starting at its smallest dart) are built on first read.
+    orbit, in orbit order.  ``orbits`` (each cycle starting at its smallest
+    dart) is built on first read.
     """
 
     image: np.ndarray = field(repr=False)
@@ -241,11 +241,6 @@ class OrbitPartition:
         first = (low == darts).nonzero()[0]
         object.__setattr__(self, "array", _readonly(first.searchsorted(low)))
         object.__setattr__(self, "smallest", tuple((first + 1).tolist()))
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        """``labels[d - 1]`` is the 0-based position of the orbit holding dart ``d``."""
-        return _cached(self, "_labels", lambda: tuple(self.array.tolist()))
 
     @property
     def orbits(self) -> tuple[tuple[int, ...], ...]:

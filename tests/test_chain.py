@@ -15,7 +15,6 @@ from hypermap_codes import (
     dart_vertex_sum,
     face_dart_sum,
     graph_to_hypermap,
-    hyperedge_dart_sum,
     hypermap_to_surface,
     nonspecial_darts,
     project_nonspecial,
@@ -73,11 +72,12 @@ def test_dart_vertex_sum_loop_cancels():
 
 
 def test_hyperedge_dart_sums():
+    # The dart sum of hyperedge e is the indicator of H.hyperedges().array == e.
     H, _ = torus_hypermap()
-    assert support(hyperedge_dart_sum(H, 0)) == [1, 2, 3, 4]
-    assert support(hyperedge_dart_sum(H, 1)) == [5, 6, 7, 8]
+    assert support(H.hyperedges().array == 0) == [1, 2, 3, 4]
+    assert support(H.hyperedges().array == 1) == [5, 6, 7, 8]
     single = Hypermap(Permutation.identity(1), Permutation.identity(1))
-    assert support(hyperedge_dart_sum(single, 0)) == [1]
+    assert support(single.hyperedges().array == 0) == [1]
 
 
 def test_project_replaces_special_darts():
@@ -109,7 +109,7 @@ def test_project_identity_on_nonspecial_input():
 def test_project_kills_full_hyperedge_sums():
     H, S = torus_hypermap()
     for e in range(2):
-        assert not project_nonspecial(H, S, hyperedge_dart_sum(H, e)).any()
+        assert not project_nonspecial(H, S, (H.hyperedges().array == e).astype(np.uint8)).any()
 
 
 def test_edge_relation_also_cancels_in_vertex_map():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypermap_codes import build_canonical, cli, gf2, load_hypermap, surface, transform
+from hypermap_codes import build_canonical, cli, gf2, load_hypermap, transform
 from hypermap_codes.cli import main
 from util import FIXTURES
 
@@ -409,11 +409,14 @@ def test_build_distance_eliminates_each_sector_once(monkeypatch, capsys):
     assert rows == [2, 4, 6]
 
 
-def test_verify_prints_row_differences_when_incidence_differs(monkeypatch, capsys):
-    # With the array incidence builder giving the basis-changed torus code,
-    # verify takes the exit-1 path and prints the same rows as compare.
-    changed = transform(build_canonical(*load_hypermap(TORUS)), gf2.read_matrix(TORUS_T))
-    monkeypatch.setattr(surface, "_incidence", lambda *columns: (changed.hx, changed.hz))
-    assert main(["verify", TORUS]) == 1
-    lines = ["hypermap_code n=6 k=2", "surface_code n=6 k=2"]
-    assert capsys.readouterr() == ("\n".join(COMPARE_LINES[:1] + lines + COMPARE_LINES[1:]) + "\n", "")
+@pytest.mark.parametrize(
+    "header",
+    [pytest.param("9" * 5000 + " 3", id="5000-digits"), pytest.param("0 99999999999999999999999", id="past-intp")],
+)
+@pytest.mark.parametrize("command", ["decompose", "distance"])
+def test_oversized_matrix_header_exits_2_with_one_line(tmp_path, capsys, command, header):
+    # A count is bounded before int() and by numpy's largest dimension.
+    path = tmp_path / "big.txt"
+    path.write_text(f"{header}\n" if command == "decompose" else f"Hx\n{header}\nHz\n0 3\n")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: matrix dimensions must be at most {2**63 - 1}\n")

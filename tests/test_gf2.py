@@ -292,6 +292,10 @@ def test_parse_matrix_reads_any_line_separator():
         ("2 0\n\n0\n", "expected 2 matrix rows, found 1"),
         ("3 0\n\n", "expected 3 matrix rows, found 1"),
         ("1000000000000 0\n\n\n", "expected 1000000000000 matrix rows, found 2"),
+        # Counts are bounded before int() and by numpy's largest dimension.
+        pytest.param("9" * 5000 + " 3\n", f"at most {2**63 - 1}$", id="header-5000-digits"),
+        pytest.param("0 99999999999999999999999\n", f"at most {2**63 - 1}$", id="header-past-intp"),
+        pytest.param("0 9223372036854775808\n", f"at most {2**63 - 1}$", id="header-2**63"),
         # "\r" ends a line, so the header is "0" alone, although the first
         # "\n" comes after "0\r2".
         ("0\r2\n", "bad matrix header '0', expected 'rows cols'"),
@@ -300,6 +304,13 @@ def test_parse_matrix_reads_any_line_separator():
 def test_parse_matrix_error_messages(text, message):
     with pytest.raises(ValueError, match=message):
         gf2.parse_matrix(text)
+
+
+def test_parse_matrix_header_counts_up_to_the_bound():
+    assert gf2.parse_matrix("0 9999999999\n").shape == (0, 9999999999)
+    assert gf2.parse_matrix(f"0 {2**63 - 1}\n").shape == (0, 2**63 - 1)
+    # Leading zeros do not count toward the bound, however many there are.
+    assert gf2.parse_matrix("0" * 5000 + "1 2\n0 1\n").tolist() == [[0, 1]]
 
 
 def test_parse_matrix_checks_counts_before_allocating():

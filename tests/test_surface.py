@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -35,8 +36,6 @@ from hypermap_codes.surface import (
     rotation_graph_from_json,
     rotation_graph_to_json,
     surface_graph_dot,
-    rotation_graph_dot,
-    surface_graph_from_json,
     surface_graph_to_json,
 )
 from util import (
@@ -173,31 +172,27 @@ def test_hypermap_to_surface_matches_reference_rows():
     assert one_dart_edges and loops
 
 
-def test_verify_incidence_matches_surface_graph_paths(monkeypatch):
-    # The matrices verify builds from index arrays equal those of the
-    # SurfaceGraph object path and of the entry-by-entry reference.
-    built = []
-    original = surface._incidence
-
-    def recording(*columns):
-        built.append(original(*columns))
-        return built[-1]
-
-    monkeypatch.setattr(surface, "_incidence", recording)
-    rng = random.Random(89)
+def surface_cases(seed):
+    """The fixture, toric L = 2-8 and random hypermaps with random special darts."""
+    rng = random.Random(seed)
     cases = [load_hypermap(FIXTURES / "torus_hypermap.json")]
     cases += [graph_to_hypermap(toric_rotation_graph(L, L)) for L in range(2, 9)]
     cases += [(H, random_special_darts(rng, H)) for H in (random_hypermap(rng, 1, 24) for _ in range(40))]
+    return cases
+
+
+def test_verify_incidence_matches_surface_graph_paths():
+    # verify reports the canonical code as the surface code; the surface
+    # code of the SurfaceGraph that to-surface writes, built by label, and
+    # the entry-by-entry reference both equal it.
     one_dart_edges = loops = 0
-    for H, S in cases:
-        built.clear()
-        assert verify_equivalence(H, S).equal
-        (hx, hz), = built
+    for H, S in surface_cases(89):
+        canonical = verify_equivalence(H, S).surface_code
         G = hypermap_to_surface(H, S)
         code = surface_code(G)
-        assert np.array_equal(hx, code.hx) and np.array_equal(hz, code.hz)
+        assert np.array_equal(canonical.hx, code.hx) and np.array_equal(canonical.hz, code.hz)
         ref_hx, ref_hz = reference_surface_code(G)
-        assert np.array_equal(hx, ref_hx) and np.array_equal(hz, ref_hz)
+        assert np.array_equal(canonical.hx, ref_hx) and np.array_equal(canonical.hz, ref_hz)
         one_dart_edges += sum(len(e) == 1 for e in H.hyperedges().orbits)
         loops += sum(a == b for a, b, _ in G.edges)
     assert one_dart_edges and loops
@@ -211,17 +206,15 @@ def test_verify_incidence_matches_surface_graph_paths(monkeypatch):
     ],
 )
 @pytest.mark.parametrize("L", [3, 5])
-def test_closed_surface_check_same_for_graph_and_arrays(monkeypatch, faces, L):
+def test_closed_surface_check_same_for_graph_and_arrays(faces, L):
     # Dropping a face leaves its edges in 1 face, and repeating one puts
-    # them in 3; rows are dropped or repeated whole, so the code stays a
-    # valid CSS code and only the closed-surface check can object.  The
-    # canonical code's face columns always toggle two rows, so the array
-    # path gets the bad faces as the face entries it reads off them.
+    # them in 3.  The check names the same edge whether the graph's labels
+    # are Python ints or numpy arrays, as a converter would hand them over.
     H, S = graph_to_hypermap(toric_rotation_graph(L, L))
-    canonical = boundary_pair(H, S)
-    bad = CssCode(canonical.hx, faces(canonical.hz))
+    bad = faces(boundary_pair(H, S).hz)
     G = hypermap_to_surface(H, S)
-    rows = [frozenset(np.asarray(G.edge_labels)[np.flatnonzero(row)].tolist()) for row in bad.hz]
+    labels = np.asarray(G.edge_labels)
+    rows = [frozenset(labels[np.flatnonzero(row)].tolist()) for row in bad]
     # The first edge, in edge order, that is not in 0 or 2 faces.
     uses = Counter(label for face in rows for label in face)
     label = next(label for _, _, label in G.edges if uses[label] not in (0, 2))
@@ -229,11 +222,8 @@ def test_closed_surface_check_same_for_graph_and_arrays(monkeypatch, faces, L):
     message = rf"^edge {label} appears in {uses[label]} faces; expected 0 or 2$"
     with pytest.raises(ValueError, match=message):
         SurfaceGraph(G.vertex_count, G.edges, tuple(rows))
-    monkeypatch.setattr(surface, "_face_entries", lambda face_ends: bad.hz.nonzero())
     with pytest.raises(ValueError, match=message):
-        verify_equivalence(H, S)
-    with pytest.raises(ValueError, match=message):
-        hypermap_to_surface(H, S)
+        SurfaceGraph(np.intp(G.vertex_count), tuple(np.array(G.edges)), tuple(labels[row == 1] for row in bad))
 
 
 def test_surface_graph_errors_name_the_first_bad_entry():
@@ -277,47 +267,24 @@ def test_verify_equivalence_ranks_identical_codes_once(monkeypatch):
     assert report.equal and len(ranked) == 1
     assert report.surface_params == report.hypermap_params == original(report.surface_code)
 
-    # A surface code with the same rows in another order is ranked on its own.
-    original_incidence = surface._incidence
 
-    def reversed_rows(*columns):
-        hx, hz = original_incidence(*columns)
-        return hx[::-1], hz[::-1]
-
-    monkeypatch.setattr(surface, "_incidence", reversed_rows)
-    ranked.clear()
-    report = verify_equivalence(H, S)
-    assert report.equal and len(ranked) == 2
-    assert report.surface_params == report.hypermap_params
-
-
-def test_verify_equivalence_reuses_only_an_identical_canonical_code(monkeypatch):
+def test_verify_equivalence_reuses_only_an_identical_canonical_code():
+    # With the special darts left to verify, the canonical code of the
+    # default choice is reported as both codes.
     H, S = graph_to_hypermap(toric_rotation_graph(4, 4))
-    report = verify_equivalence(H, S)
+    report = verify_equivalence(H)
     assert report.surface_code is report.hypermap_code
-
-    # With hx equal and one hz entry cleared, the pair is not orthogonal:
-    # the surface code is built on its own, so its check still runs.
-    original_incidence = surface._incidence
-
-    def cleared_hz_entry(*columns):
-        hx, hz = original_incidence(*columns)
-        hz = hz.copy()
-        hz[0, np.flatnonzero(hz[0])[0]] = 0
-        return hx, hz
-
-    monkeypatch.setattr(surface, "_incidence", cleared_hz_entry)
-    with pytest.raises(ValueError, match="not orthogonal"):
-        verify_equivalence(H, S)
+    canonical = build_canonical(H, choose_special_darts(H))
+    assert np.array_equal(report.hypermap_code.hx, canonical.hx)
+    assert np.array_equal(report.hypermap_code.hz, canonical.hz)
 
 
 def test_each_code_is_checked_once(monkeypatch):
-    # One orthogonality check per code built.  The canonical code is checked
-    # by pairing its column supports, and verify reuses it as the surface
-    # code when the incidence matches; a surface code that differs is
-    # checked on its own, by one product.
-    checks = []
-    original_mul, original_from_columns = gf2.mul, CssCode.from_columns
+    # verify builds the canonical code once, checked by pairing its column
+    # supports, ranks it once, and reports it as the surface code: no dense
+    # product, no second code.
+    checks, ranked = [], []
+    original_mul, original_from_columns, original_params = gf2.mul, CssCode.from_columns, surface.params
 
     def counting_mul(A, B):
         checks.append((np.shape(A), np.shape(B)))
@@ -329,27 +296,32 @@ def test_each_code_is_checked_once(monkeypatch):
 
     monkeypatch.setattr(gf2, "mul", counting_mul)
     monkeypatch.setattr(CssCode, "from_columns", classmethod(counting_from_columns))
+    monkeypatch.setattr(surface, "params", lambda code: ranked.append(code) or original_params(code))
     H, S = graph_to_hypermap(toric_rotation_graph(4, 4))
     build_canonical(H, S)
     assert checks == [("pairing", 16, 16, 32)]
-    for L in (4, 32):
-        H, S = graph_to_hypermap(toric_rotation_graph(L, L))
+    cases = [graph_to_hypermap(toric_rotation_graph(L, L)) for L in (2, 4, 7, 32)]
+    cases += surface_cases(97)
+    one_dart_edges = loops = 0
+    for H, S in cases:
         checks.clear()
-        assert verify_equivalence(H, S).equal
-        assert checks == [("pairing", L * L, L * L, 2 * L * L)]
-
-    original_incidence = surface._incidence
-    monkeypatch.setattr(surface, "_incidence", lambda *columns: [M[::-1] for M in original_incidence(*columns)])
-    H, S = graph_to_hypermap(toric_rotation_graph(4, 4))
-    checks.clear()
-    assert verify_equivalence(H, S).equal
-    assert checks == [("pairing", 16, 16, 32), ((16, 32), (32, 16))]
+        ranked.clear()
+        report = verify_equivalence(H, S)
+        assert report.equal and report.surface_code is report.hypermap_code
+        code = report.hypermap_code
+        assert checks == [("pairing", len(H.vertices()), len(H.faces()), code.n)]
+        assert ranked == [code]
+        assert report.surface_params is report.hypermap_params
+        one_dart_edges += sum(len(e) == 1 for e in H.hyperedges().orbits)
+        loops += sum(a == b for a, b in code._columns[0].T.tolist())
+    assert one_dart_edges and loops
 
 
 @pytest.mark.parametrize("L", [24, 48])
 def test_verify_equivalence_toric(L):
-    # The chain condition is checked without a dense product: at 48x48 the
-    # product alone peaked at 243 MiB.
+    # The chain condition is checked without a dense product (at 48x48 the
+    # product alone peaked at 243 MiB), and the canonical code is the only
+    # pair of dense matrices: a second pair would add about 21 MiB.
     H, S = graph_to_hypermap(toric_rotation_graph(L, L))
     tracemalloc.start()
     try:
@@ -360,7 +332,7 @@ def test_verify_equivalence_toric(L):
     assert report.equal
     for p in (report.hypermap_params, report.surface_params):
         assert (p.n, p.k) == (2 * L * L, 2)
-    assert peak < 96 * 2**20
+    assert peak < 40 * 2**20
 
 
 def test_incidence_columns_have_weight_zero_or_two():
@@ -514,24 +486,9 @@ def test_toric_rotation_graph_matches_dict_built_reference():
 def test_surface_graph_json_round_trip():
     H, S = torus_hypermap()
     G = hypermap_to_surface(H, S)
-    assert surface_graph_from_json(surface_graph_to_json(G)) == G
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"vertices": True, "edges": [[1, 1, 1]], "faces": [[1]]},
-        {"vertices": 1, "edges": 5, "faces": []},
-        {"vertices": 1, "edges": [[1, 1]], "faces": []},
-        {"vertices": 1, "edges": [[1, 1, 1.5]], "faces": []},
-        {"vertices": 1, "edges": [[1, 1, 1]], "faces": [1]},
-        {"vertices": 1, "edges": [[1, 1, 1]], "faces": [["1"]]},
-    ],
-    ids=["vertices-bool", "edges-int", "edge-pair", "label-float", "faces-flat", "face-str"],
-)
-def test_surface_graph_json_rejects_non_integers(data):
-    with pytest.raises(ValueError):
-        surface_graph_from_json(data)
+    data = surface_graph_to_json(G)
+    assert data == json.loads((FIXTURES / "torus_surface_graph.json").read_text())
+    assert SurfaceGraph(data["vertices"], tuple(map(tuple, data["edges"])), tuple(map(frozenset, data["faces"]))) == G
 
 
 def test_rotation_graph_json_round_trip():
@@ -544,6 +501,3 @@ def test_dot_exports_mention_edges():
     dot = surface_graph_dot(hypermap_to_surface(H, S))
     assert 'v1 -- v2 [label="1"];' in dot
     assert "// face 2: 2 8" in dot
-    rot_dot = rotation_graph_dot(toric_rotation_graph(1, 1))
-    assert "graph rotation {" in rot_dot
-    assert 'v1 -- v1 [label="1"];' in rot_dot

@@ -4,7 +4,9 @@ Starting from the text ``format_matrix`` and ``format_stabilizer`` write,
 characters are inserted or replaced: separators that ``str.split`` or
 ``str.splitlines`` treat differently (tab, CR, CRLF, vertical tab, form
 feed, the information separators, NEL, the Unicode line separator, NBSP),
-bad entries (``2``, an Arabic-Indic digit, ``10``) and section headers.
+bad entries (``2``, an Arabic-Indic digit, ``10``), runs of 20 nines or
+zeros (a header count past the int64 bound, or padded with zeros) and
+section headers.
 ``gf2.parse_matrix`` and ``css.parse_stabilizer`` must give what
 ``reference_parse_matrix`` and ``reference_parse_stabilizer`` give: the same
 matrices, or a ``ValueError`` with the same text.  Unmutated text takes the
@@ -26,7 +28,7 @@ from util import random_css_code, reference_parse_matrix, reference_parse_stabil
 
 PIECES = [
     " ", "\t", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028", "\u00a0",
-    "2", "\u0661", "10", "Hx\n", "Hz\n",
+    "2", "\u0661", "10", "Hx\n", "Hz\n", "9" * 20, "0" * 20,
 ]  # fmt: skip
 
 SETTINGS = settings(max_examples=400, deadline=None)

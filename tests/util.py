@@ -406,7 +406,10 @@ def golay_css():
 
 def _reference_header_count(token, line):
     if token.isascii() and token.isdigit():
-        return int(token)
+        digits = token.lstrip("0")
+        if len(digits) > 19 or int(digits or "0") >= 2**63:
+            raise ValueError(f"matrix dimensions must be at most {2**63 - 1}")
+        return int(digits or "0")
     if token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
         raise ValueError("matrix dimensions must be nonnegative")
     raise ValueError(f"bad matrix header {line!r}, expected 'rows cols'")
