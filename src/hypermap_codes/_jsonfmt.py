@@ -1,8 +1,10 @@
-"""JSON for the file formats: one reader, and compact emission with one top-level key per line."""
+"""File I/O for the formats: the JSON reader, compact JSON (one top-level key per line), the one text writer."""
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 
@@ -13,6 +15,26 @@ def read_json(path):
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"JSON in {path} is nested too deeply") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` in place, then cut a regular file to length.
+
+    The file is opened without ``O_TRUNC``, created with mode ``0o666 &
+    ~umask`` if missing, and written with :func:`open`'s default encoding
+    and newline handling, as :meth:`pathlib.Path.write_text` does.  On ext4
+    with ``auto_da_alloc``, truncating a non-empty file to size zero makes
+    ``close()`` start writeback, which the next rewrite of the same file
+    waits for; writing over the old bytes and truncating at the end
+    position does not.  Only a regular file is truncated: a pipe, a FIFO
+    or a terminal cannot be, and ``/dev/null`` is seekable but refuses
+    ``ftruncate``.  A write that fails part-way leaves the new prefix
+    followed by the old tail.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def compact_json(data: dict) -> str:

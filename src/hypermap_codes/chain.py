@@ -28,7 +28,9 @@ other darts of the hyperedge.  :meth:`CssCode.from_columns` checks the chain
 condition on those arrays by pairing supports, with no matrix product:
 entry ``(r, s)`` of ``hx @ hz^t`` is the parity of the number of keys
 ``(r, s)`` among the four row pairs of every column, so the condition holds
-exactly when every key occurs an even number of times.  A code given as
+exactly when every key occurs an even number of times.  The surface
+conversion takes the same arrays (``_canonical_columns``) and runs the same
+check (``_check_pairing``) without building either matrix.  A code given as
 dense matrices (a transformed code, a file) is checked by one
 :func:`~hypermap_codes.gf2.mul` product instead.  The per-face and per-dart
 helpers (:func:`face_dart_sum`, :func:`project_nonspecial`,
@@ -117,6 +119,22 @@ def _toggle_columns(rows: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return M
 
 
+def _check_pairing(x_ends: np.ndarray, z_rows: int, z_ends: np.ndarray) -> None:
+    """Raise unless the columns given by ``x_ends`` and ``z_ends`` satisfy the chain condition.
+
+    Entry ``(r, s)`` of ``hx @ hz^t`` is the parity of the number of keys
+    ``(r, s)`` among the four row pairs of every column, so the condition
+    holds exactly when the keys, once sorted, pair up as equal neighbours.
+    """
+    if x_ends.shape[1] != z_ends.shape[1]:
+        raise ValueError(f"hx has {x_ends.shape[1]} columns but hz has {z_ends.shape[1]}")
+    # keys[i, j, k] pairs row x_ends[i, k] of hx with row z_ends[j, k] of hz.
+    keys = (x_ends[:, None] * z_rows + z_ends).ravel()
+    keys.sort()
+    if (keys[0::2] != keys[1::2]).any():
+        raise ValueError("hx and hz are not orthogonal over GF(2)")
+
+
 @dataclass(frozen=True)
 class CssCode:
     """Generator matrices ``hx`` and ``hz`` (read-only ``uint8``), checked orthogonal over GF(2).
@@ -149,26 +167,44 @@ class CssCode:
 
         ``x_ends`` and ``z_ends`` are ``2 x n`` index arrays; a column whose
         two rows coincide is zero.  The chain condition is checked by
-        pairing supports: the keys ``(row_x, row_z)`` of every column, once
-        sorted, must pair up as equal neighbours.  The arrays are not
+        pairing supports (:func:`_check_pairing`).  The arrays are not
         copied: they are made read-only in place and kept as ``_columns``.
         """
-        if x_ends.shape[1] != z_ends.shape[1]:
-            raise ValueError(f"hx has {x_ends.shape[1]} columns but hz has {z_ends.shape[1]}")
-        # keys[i, j, k] pairs row x_ends[i, k] of hx with row z_ends[j, k] of hz.
-        keys = (x_ends[:, None] * z_rows + z_ends).ravel()
-        keys.sort()
-        if (keys[0::2] != keys[1::2]).any():
-            raise ValueError("hx and hz are not orthogonal over GF(2)")
+        _check_pairing(x_ends, z_rows, z_ends)
+        x_ends.setflags(write=False)
+        z_ends.setflags(write=False)
         code = cls.__new__(cls)
         object.__setattr__(code, "hx", _readonly(_toggle_columns(x_rows, *x_ends)))
         object.__setattr__(code, "hz", _readonly(_toggle_columns(z_rows, *z_ends)))
-        object.__setattr__(code, "_columns", (_readonly(x_ends), _readonly(z_ends)))
+        object.__setattr__(code, "_columns", (x_ends, z_ends))
         return code
 
     @property
     def n(self) -> int:
         return self.hx.shape[1]
+
+
+def _canonical_columns(H: Hypermap, S: tuple[int, ...]) -> tuple[int, np.ndarray, int, np.ndarray]:
+    """``(x_rows, x_ends, z_rows, z_ends)`` of the canonical code, not yet checked.
+
+    These are the arguments of :meth:`CssCode.from_columns`: column ``k``,
+    nonspecial dart ``d``, toggles the vertices of ``d`` and ``tau^-1(d)``
+    and the faces of ``d`` and of its hyperedge's special dart.
+    """
+    S = check_special_darts(H, S)
+    vertices, edges, faces = H.vertices(), H.hyperedges(), H.faces()
+    vertex, edge, face = vertices.array, edges.array, faces.array
+    tau_inv = H.tau.inverse().array
+    special = np.array(S, dtype=np.intp) - 1
+    special_of_edge = np.empty(len(edges), dtype=np.intp)
+    special_of_edge[edge[special]] = special
+    darts = _nonspecial(H.n_darts, S)
+    return (
+        len(vertices),
+        np.array((vertex[darts], vertex[tau_inv[darts]])),
+        len(faces),
+        np.array((face[darts], face[special_of_edge[edge[darts]]])),
+    )
 
 
 def boundary_pair(H: Hypermap, S: tuple[int, ...]) -> CssCode:
@@ -179,20 +215,7 @@ def boundary_pair(H: Hypermap, S: tuple[int, ...]) -> CssCode:
     its chain condition checked, from its column arrays
     (:meth:`CssCode.from_columns`).
     """
-    S = check_special_darts(H, S)
-    vertices, edges, faces = H.vertices(), H.hyperedges(), H.faces()
-    vertex, edge, face = vertices.array, edges.array, faces.array
-    tau_inv = H.tau.inverse().array
-    special = np.array(S, dtype=np.intp) - 1
-    special_of_edge = np.empty(len(edges), dtype=np.intp)
-    special_of_edge[edge[special]] = special
-    darts = _nonspecial(H.n_darts, S)
-    return CssCode.from_columns(
-        len(vertices),
-        np.array((vertex[darts], vertex[tau_inv[darts]])),
-        len(faces),
-        np.array((face[darts], face[special_of_edge[edge[darts]]])),
-    )
+    return CssCode.from_columns(*_canonical_columns(H, S))
 
 
 def apply_basis_change(code: CssCode, T) -> CssCode:

@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import css, gf2, surface
+from ._jsonfmt import write_text
 from .distance import distance_split
 from .hypermap import Hypermap, choose_special_darts, given_special_darts, load_hypermap, save_hypermap
 
@@ -84,13 +85,10 @@ def cmd_to_surface(args) -> int:
     surface.save_surface_graph(args.out_graph, G)
     print(f"wrote={args.out_graph}")
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(surface.surface_graph_dot(G))
+        write_text(args.dot, surface.surface_graph_dot(G))
         print(f"wrote={args.dot}")
     if args.intermediate_dot:
-        inter = surface.intermediate_surface(H)
-        with open(args.intermediate_dot, "w") as fh:
-            fh.write(surface.surface_graph_dot(inter))
+        write_text(args.intermediate_dot, surface.surface_graph_dot(surface.intermediate_surface(H)))
         print(f"wrote={args.intermediate_dot}")
     return 0
 

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gf2
+from ._jsonfmt import write_text
 from .chain import CssCode, apply_basis_change, boundary_pair
 from .hypermap import Hypermap, choose_special_darts
 
@@ -217,4 +218,4 @@ def read_stabilizer(path) -> CssCode:
 
 
 def write_stabilizer(path, code: CssCode) -> None:
-    Path(path).write_text(format_stabilizer(code))
+    write_text(path, format_stabilizer(code))

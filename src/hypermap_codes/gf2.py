@@ -31,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsonfmt import write_text
+
 
 class SingularMatrixError(ValueError):
     """A matrix that was required to be invertible over GF(2) is not."""
@@ -406,4 +408,4 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_matrix(path, M) -> None:
-    Path(path).write_text(format_matrix(M))
+    write_text(path, format_matrix(M))

@@ -33,11 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import index
-from pathlib import Path
 
 import numpy as np
 
-from ._jsonfmt import compact_json, read_json
+from ._jsonfmt import compact_json, read_json, write_text
 
 
 class NotBijectiveError(ValueError):
@@ -511,4 +510,4 @@ def load_hypermap(path) -> tuple[Hypermap, tuple[int, ...] | None]:
 
 
 def save_hypermap(path, H: Hypermap, special: tuple[int, ...] | None = None) -> None:
-    Path(path).write_text(compact_json(hypermap_to_json(H, special)))
+    write_text(path, compact_json(hypermap_to_json(H, special)))

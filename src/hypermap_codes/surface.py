@@ -10,17 +10,18 @@ and ``2j`` at its second; these ids double as dart labels when a graph is
 reinterpreted as a hypermap.
 
 The conversion from a hypermap to its equivalent surface graph reads the
-column index arrays the canonical code keeps
-(:func:`~hypermap_codes.chain.boundary_pair`), one column per nonspecial
-dart ``d`` in ascending order: the edge joins the vertices of ``d`` and of
+canonical code's column index arrays, one column per nonspecial dart ``d``
+in ascending order: the edge joins the vertices of ``d`` and of
 ``tau^-1(d)``, and the faces are the nonzeros of the face-boundary matrix
 ``hz``, read off its two face rows per column, exactly the merged-face
-boundary the drawing-based procedure produces.  The surface code of that
-graph is therefore the canonical code, column for column, so
-:func:`verify_equivalence` builds no graph: it builds and checks the
-canonical code once and reports it as both codes.  :class:`SurfaceGraph`
-checks once that a graph lies on a closed surface, and
-:func:`surface_code` builds its incidence matrices.
+boundary the drawing-based procedure produces.  :func:`hypermap_to_surface`
+checks the chain condition on those arrays by pairing supports and builds
+neither dense matrix; :func:`~hypermap_codes.chain.boundary_pair` stays the
+only builder of the canonical code.  The surface code of that graph is the
+canonical code, column for column, so :func:`verify_equivalence` builds no
+graph: it builds and checks the canonical code once and reports it as both
+codes.  :class:`SurfaceGraph` checks once that a graph lies on a closed
+surface, and :func:`surface_code` builds its incidence matrices.
 :func:`intermediate_surface` materializes the pre-merge stage (all darts
 kept as edges, hyperedges as extra faces) for DOT export and debugging.
 """
@@ -30,12 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import index, itemgetter
-from pathlib import Path
 
 import numpy as np
 
-from ._jsonfmt import compact_json, read_json
-from .chain import _nonspecial, _toggle_columns, boundary_pair
+from ._jsonfmt import compact_json, read_json, write_text
+from .chain import _canonical_columns, _check_pairing, _nonspecial, _toggle_columns, boundary_pair
 from .css import CodeParams, CssCode, params
 from .hypermap import Hypermap, NotConnectedError, Permutation, _json_fields, choose_special_darts
 
@@ -176,20 +176,22 @@ def hypermap_to_surface(H: Hypermap, S: tuple[int, ...] | None = None) -> Surfac
     becomes an edge labeled ``d`` joining the vertices of ``d`` and of
     ``tau^-1(d)``; the faces are the face-boundary supports, one per
     hypermap face.  The surface code of the output is the canonical code.
+    The graph is read off the canonical code's column arrays, whose chain
+    condition is checked by pairing supports; neither matrix is built.
     """
     if S is None:
         S = choose_special_darts(H)
-    code = boundary_pair(H, S)
-    ends, face_ends = code._columns
+    vertex_count, ends, face_count, face_ends = _canonical_columns(H, S)
+    _check_pairing(ends, face_count, face_ends)
     labels = _nonspecial(H.n_darts, S) + 1
     # A column whose two face rows coincide is zero: its edge is in no face.
     keep = face_ends[0] != face_ends[1]
     rows = face_ends[:, keep].ravel()
     order = rows.argsort(kind="stable")  # group the entries by face
     face_labels = np.tile(labels[keep], 2)[order].tolist()
-    bounds = rows[order].searchsorted(np.arange(code.hz.shape[0] + 1)).tolist()
+    bounds = rows[order].searchsorted(np.arange(face_count + 1)).tolist()
     faces = tuple(frozenset(face_labels[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return SurfaceGraph(code.hx.shape[0], tuple(zip(*(ends + 1).tolist(), labels.tolist())), faces)
+    return SurfaceGraph(vertex_count, tuple(zip(*(ends + 1).tolist(), labels.tolist())), faces)
 
 
 def intermediate_surface(H: Hypermap) -> SurfaceGraph:
@@ -325,7 +327,7 @@ def rotation_graph_from_json(data: dict) -> RotationGraph:
 
 
 def save_surface_graph(path, G: SurfaceGraph) -> None:
-    Path(path).write_text(compact_json(surface_graph_to_json(G)))
+    write_text(path, compact_json(surface_graph_to_json(G)))
 
 
 def load_rotation_graph(path) -> RotationGraph:

@@ -1,0 +1,159 @@
+"""Output files: every writer writes in place and cuts a regular file to length."""
+
+import os
+import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from hypermap_codes import css, gf2, hypermap, surface
+from hypermap_codes._jsonfmt import compact_json
+from hypermap_codes.cli import main
+from util import FIXTURES, torus_hypermap
+
+TORUS = str(FIXTURES / "torus_hypermap.json")
+TORUS_T = str(FIXTURES / "torus_basis_change.txt")
+TORIC_2X2 = str(FIXTURES / "toric_2x2_rotation.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
+OLD_TAIL = b"x" * 3000
+
+
+def _writers():
+    H, S = torus_hypermap()
+    code = css.build_canonical(H, S)
+    G = surface.hypermap_to_surface(H, S)
+    return {
+        "write_stabilizer": (lambda p: css.write_stabilizer(p, code), css.format_stabilizer(code)),
+        "write_matrix": (lambda p: gf2.write_matrix(p, code.hz), gf2.format_matrix(code.hz)),
+        "save_hypermap": (
+            lambda p: hypermap.save_hypermap(p, H, S),
+            compact_json(hypermap.hypermap_to_json(H, S)),
+        ),
+        "save_surface_graph": (
+            lambda p: surface.save_surface_graph(p, G),
+            compact_json(surface.surface_graph_to_json(G)),
+        ),
+    }
+
+
+WRITERS = sorted(_writers())
+
+# Each writing subcommand, with the output file given last.
+COMMANDS = {
+    "build": ["build", TORUS, "--out"],
+    "build-basis-change": ["build", TORUS, "--basis-change", TORUS_T, "--reduce", "--out"],
+    "to-surface-graph": ["to-surface", TORUS, "--out-graph"],
+    "to-surface-dot": ["to-surface", TORUS, "--out-graph", os.devnull, "--dot"],
+    "to-surface-intermediate-dot": ["to-surface", TORUS, "--out-graph", os.devnull, "--intermediate-dot"],
+    "from-graph": ["from-graph", TORIC_2X2, "--out"],
+}
+
+
+def _run(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_over_a_longer_file_leaves_exact_bytes(tmp_path, name):
+    write, text = _writers()[name]
+    path = tmp_path / "out"
+    path.write_bytes(OLD_TAIL)
+    path.chmod(0o640)
+    before = path.stat()
+    write(path)
+    assert path.read_bytes() == text.encode()
+    after = path.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_follows_a_symlink(tmp_path, name):
+    write, text = _writers()[name]
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(OLD_TAIL)
+    link.symlink_to(target.name)
+    write(link)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_creates_a_file_with_the_umask_applied(tmp_path, name):
+    write, text = _writers()[name]
+    path = tmp_path / "new"
+    old = os.umask(0o027)
+    try:
+        write(path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_to_dev_null(name):
+    # /dev/null is seekable but cannot be truncated; it is left as it is.
+    write, _ = _writers()[name]
+    write(os.devnull)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_over_a_longer_file_matches_a_fresh_write(tmp_path, capsys, command):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.write_bytes(OLD_TAIL)
+    inode = reused.stat().st_ino
+    rc, out, err = _run(COMMANDS[command] + [str(fresh)], capsys)
+    assert (rc, err) == (0, "")
+    assert _run(COMMANDS[command] + [str(reused)], capsys) == (0, out.replace(str(fresh), str(reused)), "")
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert reused.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize(
+    "make, errno_text",
+    [
+        pytest.param(lambda p: p.mkdir(), "[Errno 21] Is a directory", id="directory"),
+        pytest.param(lambda p: None, "[Errno 2] No such file or directory", id="missing-parent"),
+    ],
+)
+def test_cli_unwritable_output_exits_2_with_one_line(tmp_path, capsys, command, make, errno_text):
+    path = tmp_path / "out"
+    make(path)
+    if errno_text.startswith("[Errno 2]"):
+        path = path / "x"
+    rc, _, err = _run(COMMANDS[command] + [str(path)], capsys)
+    assert rc == 2
+    assert err == f"error: {errno_text}: '{path}'\n"
+
+
+def test_build_out_to_a_fifo(tmp_path, capsys):
+    expected = css.format_stabilizer(css.build_canonical(*torus_hypermap()))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    rc, out, err = _run(["build", TORUS, "--out", str(fifo)], capsys)
+    reader.join(timeout=30)
+    assert (rc, out, err) == (0, f"n=6 k=2\nwrote={fifo}\n", "")
+    assert received == [expected.encode()]
+
+
+def test_build_out_to_dev_stdout_through_a_pipe():
+    # Unbuffered, the report lines and the block reach the pipe in call order.
+    expected = css.format_stabilizer(css.build_canonical(*torus_hypermap()))
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypermap_codes", "build", TORUS, "--out", "/dev/stdout"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == f"n=6 k=2\n{expected}wrote=/dev/stdout\n".encode()

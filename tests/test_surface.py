@@ -31,7 +31,7 @@ from hypermap_codes import (
     toric_rotation_graph,
     verify_equivalence,
 )
-from hypermap_codes import gf2, load_hypermap, surface
+from hypermap_codes import chain, gf2, load_hypermap, surface
 from hypermap_codes.surface import (
     rotation_graph_from_json,
     rotation_graph_to_json,
@@ -333,6 +333,31 @@ def test_verify_equivalence_toric(L):
     for p in (report.hypermap_params, report.surface_params):
         assert (p.n, p.k) == (2 * L * L, 2)
     assert peak < 40 * 2**20
+
+
+def test_hypermap_to_surface_builds_no_matrix():
+    # The graph is read off the canonical code's column arrays: at 48x48
+    # the two dense boundary matrices alone would take about 21 MiB.
+    H, S = graph_to_hypermap(toric_rotation_graph(48, 48))
+    tracemalloc.start()
+    try:
+        G = hypermap_to_surface(H, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (G.vertex_count, len(G.edges), len(G.faces)) == (48 * 48, 2 * 48 * 48, 48 * 48)
+    assert peak < 8 * 2**20
+
+
+def test_hypermap_to_surface_keeps_the_pairing_check(monkeypatch):
+    # Columns that break the chain condition are refused, as boundary_pair
+    # refuses them.
+    H, S = graph_to_hypermap(toric_rotation_graph(3, 3))
+    x_rows, x_ends, z_rows, z_ends = chain._canonical_columns(H, S)
+    x_ends[1, 0] = (x_ends[1, 0] + 1) % x_rows
+    monkeypatch.setattr(surface, "_canonical_columns", lambda H, S: (x_rows, x_ends, z_rows, z_ends))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        hypermap_to_surface(H, S)
 
 
 def test_incidence_columns_have_weight_zero_or_two():
