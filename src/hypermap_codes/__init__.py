@@ -53,7 +53,6 @@ from .hypermap import (
     save_hypermap,
 )
 from .surface import (
-    EquivalenceReport,
     RotationGraph,
     SurfaceGraph,
     graph_to_hypermap,

@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success, 1 when a semantically valid input fails a
 verification (``compare`` of unequal stabilizers), 2 on malformed or
-invalid input.
-Reports are line-oriented ``key=value`` where machine-readable.
+invalid input, 141 (128 + SIGPIPE, nothing on stderr) when the reader of a
+pipe it writes to has gone, as after ``| head -n 1``.  Reports are
+line-oriented ``key=value`` where machine-readable, flushed before each
+output file is written, so ``--out /dev/stdout`` keeps their order.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import css, gf2, surface
@@ -38,6 +41,13 @@ def _load_hypermap_and_special(path, special_flag) -> tuple[Hypermap, tuple[int,
 
 def _format_darts(darts) -> str:
     return ",".join(map(str, darts))
+
+
+def _save(write, path, *args) -> None:
+    """Flush the report so far, write the output file with ``write(path, *args)``, report it."""
+    sys.stdout.flush()
+    write(path, *args)
+    print(f"wrote={path}")
 
 
 def _distance_fields(code: css.CssCode, bases=None) -> str:
@@ -69,8 +79,7 @@ def cmd_build(args) -> int:
         line += " " + (_distance_fields(code, bases) if k else "d=none")
     print(line)
     if args.out:
-        css.write_stabilizer(args.out, code)
-        print(f"wrote={args.out}")
+        _save(css.write_stabilizer, args.out, code)
     else:
         sys.stdout.write(css.format_stabilizer(code))
     return 0
@@ -81,15 +90,12 @@ def cmd_to_surface(args) -> int:
     if args.special is None:
         print(f"special={_format_darts(special)}")
     G = surface.hypermap_to_surface(H, special)
-    print(f"vertices={G.vertex_count} edges={len(G.edges)} faces={len(G.faces)}")
-    surface.save_surface_graph(args.out_graph, G)
-    print(f"wrote={args.out_graph}")
+    print(f"vertices={G.vertex_count} edges={G.labels.size} faces={G.face_count}")
+    _save(surface.save_surface_graph, args.out_graph, G)
     if args.dot:
-        write_text(args.dot, surface.surface_graph_dot(G))
-        print(f"wrote={args.dot}")
+        _save(write_text, args.dot, surface.surface_graph_dot(G))
     if args.intermediate_dot:
-        write_text(args.intermediate_dot, surface.surface_graph_dot(surface.intermediate_surface(H)))
-        print(f"wrote={args.intermediate_dot}")
+        _save(write_text, args.intermediate_dot, surface.surface_graph_dot(surface.intermediate_surface(H)))
     return 0
 
 
@@ -99,19 +105,15 @@ def cmd_from_graph(args) -> int:
     v, e, f, w = H.counts()
     print(f"V={v} E={e} F={f} W={w} genus={H.genus()}")
     print(f"special={_format_darts(special)}")
-    save_hypermap(args.out, H, special)
-    print(f"wrote={args.out}")
+    _save(save_hypermap, args.out, H, special)
     return 0
 
 
 def cmd_verify(args) -> int:
     H, special = _load_hypermap_and_special(args.hypermap, args.special)
-    report = surface.verify_equivalence(H, special)
-    print(f"equal={'true' if report.equal else 'false'}")
-    hp, sp = report.hypermap_params, report.surface_params
-    print(f"hypermap_code n={hp.n} k={hp.k}")
-    print(f"surface_code n={sp.n} k={sp.k}")
-    return 0 if report.equal else 1
+    _, p = surface.verify_equivalence(H, special)
+    print(f"equal=true\nhypermap_code n={p.n} k={p.k}\nsurface_code n={p.n} k={p.k}")
+    return 0
 
 
 def _print_row_space_diff(a: css.CssCode, b: css.CssCode) -> None:
@@ -210,7 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:  # so that the flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

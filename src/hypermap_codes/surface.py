@@ -1,27 +1,26 @@
 """Surface graphs, rotation systems, and the hypermap/surface conversions.
 
-A :class:`SurfaceGraph` is a multigraph embedded on a closed surface, with
-labeled edges and an explicit face list; faces are stored as mod-2 boundary
-supports (edge-label sets), so an edge whose two face incidences coincide
-cancels out of that face's set.  A :class:`RotationGraph` encodes an
-embedding the combinatorial way: a cyclic order of edge-ends around every
-vertex.  Edge ``j`` (1-based) has edge-ends ``2j-1`` at its first endpoint
-and ``2j`` at its second; these ids double as dart labels when a graph is
-reinterpreted as a hypermap.
+A :class:`SurfaceGraph` is a multigraph embedded on a closed surface, held
+in the canonical code's column format: edge ``k`` has a label, two ends
+(vertices) and two sides (faces), so it lies in two faces or, when its
+sides coincide, in none mod 2.  Its 1-based edge triples and mod-2 face
+supports are built on first use, for the writers.  A :class:`RotationGraph`
+encodes an embedding the combinatorial way: a cyclic order of edge-ends
+around every vertex.  Edge ``j`` (1-based) has edge-ends ``2j-1`` at its
+first endpoint and ``2j`` at its second; these ids double as dart labels
+when a graph is reinterpreted as a hypermap.
 
-The conversion from a hypermap to its equivalent surface graph reads the
-canonical code's column index arrays, one column per nonspecial dart ``d``
-in ascending order: the edge joins the vertices of ``d`` and of
-``tau^-1(d)``, and the faces are the nonzeros of the face-boundary matrix
-``hz``, read off its two face rows per column, exactly the merged-face
-boundary the drawing-based procedure produces.  :func:`hypermap_to_surface`
+The equivalent surface graph of a hypermap is the canonical code's column
+arrays, one column per nonspecial dart ``d`` in ascending order: the edge
+joins the vertices of ``d`` and ``tau^-1(d)`` and lies between the face of
+``d`` and the face of its hyperedge's special dart, exactly the merged-face
+boundary of the drawing-based procedure.  :func:`hypermap_to_surface`
 checks the chain condition on those arrays by pairing supports and builds
-neither dense matrix; :func:`~hypermap_codes.chain.boundary_pair` stays the
-only builder of the canonical code.  The surface code of that graph is the
-canonical code, column for column, so :func:`verify_equivalence` builds no
-graph: it builds and checks the canonical code once and reports it as both
-codes.  :class:`SurfaceGraph` checks once that a graph lies on a closed
-surface, and :func:`surface_code` builds its incidence matrices.
+no matrix.  The surface code of that graph is the canonical code, column
+for column, so :func:`verify_equivalence` builds no graph: it builds and
+checks the canonical code once (:func:`~hypermap_codes.chain.boundary_pair`)
+and returns it with its parameters.  :func:`surface_code` builds the code
+of any graph from its columns, checked by the same support pairing.
 :func:`intermediate_surface` materializes the pre-merge stage (all darts
 kept as edges, hyperedges as extra faces) for DOT export and debugging.
 """
@@ -30,58 +29,72 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import index, itemgetter
+from operator import index
 
 import numpy as np
 
 from ._jsonfmt import compact_json, read_json, write_text
-from .chain import _canonical_columns, _check_pairing, _nonspecial, _toggle_columns, boundary_pair
+from .chain import _canonical_columns, _check_pairing, _nonspecial, boundary_pair
 from .css import CodeParams, CssCode, params
-from .hypermap import Hypermap, NotConnectedError, Permutation, _json_fields, choose_special_darts
+from .hypermap import Hypermap, NotConnectedError, Permutation, _cached, _json_fields, _readonly, choose_special_darts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceGraph:
+    """Edge ``k`` has label ``labels[k]``, ends ``ends[:, k]`` and sides ``sides[:, k]``.
+
+    ``labels`` is ``(m,)``, positive and strictly ascending; ``ends`` and
+    ``sides`` are ``2 x m``, 0-based vertices below ``vertex_count`` and
+    0-based faces below ``face_count``.  The arrays are held read-only as
+    ``intp``; an ``intp`` array is not copied.  These are the only checks:
+    with two sides, every edge is in 0 or 2 faces mod 2.  Each error names
+    the first bad edge.
+    """
+
     vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]
-    faces: tuple[frozenset[int], ...]
+    face_count: int
+    labels: np.ndarray
+    ends: np.ndarray
+    sides: np.ndarray
 
     def __post_init__(self):
-        edges = tuple((index(a), index(b), index(label)) for a, b, label in self.edges)
-        faces = tuple(frozenset(map(index, face)) for face in self.faces)
-        object.__setattr__(self, "vertex_count", index(self.vertex_count))
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "faces", faces)
-        if self.vertex_count < 1:
-            raise ValueError("graph needs at least one vertex")
-        # Column k is edge k; a dict takes labels of any size, -1 if unknown.
-        labels = list(map(itemgetter(2), edges))
-        column = {label: k for k, label in enumerate(labels)}
-        if len(column) != len(labels):
-            raise ValueError("edge labels must be distinct")
-        ends = np.array([[a for a, _, _ in edges], [b for _, b, _ in edges]], dtype=object) - 1
-        sizes = list(map(len, faces))
-        rows = np.arange(len(faces)).repeat(sizes)
-        cols = np.fromiter((column.get(x, -1) for x in chain.from_iterable(faces)), np.intp, sum(sizes))
-        # On a closed surface: every endpoint a vertex, every face label an
-        # edge, and every edge in 0 or 2 faces.
-        bad = np.flatnonzero(((ends < 0) | (ends >= self.vertex_count)).any(axis=0))
+        for name in ("vertex_count", "face_count"):
+            object.__setattr__(self, name, index(getattr(self, name)))
+        for name in ("labels", "ends", "sides"):
+            array = np.asarray(getattr(self, name))
+            if array.size and array.dtype.kind not in "iu":
+                raise TypeError(f"{name} must be integers, got {array.dtype}")
+            object.__setattr__(self, name, _readonly(array.astype(np.intp, copy=False)))
+        labels = self.labels
+        shapes = labels.shape, self.ends.shape, self.sides.shape
+        if labels.ndim != 1 or shapes[1:] != ((2, labels.size),) * 2:
+            raise ValueError(f"labels, ends and sides have shapes {shapes}, expected (m,), (2, m) and (2, m)")
+        bad = np.flatnonzero(labels <= np.concatenate(([0], labels[:-1])))
         if bad.size:
-            raise ValueError(f"edge {labels[bad[0]]} endpoint out of range")
-        bad = np.flatnonzero(cols < 0)
-        if bad.size:
-            raise ValueError(f"face {sorted(faces[rows[bad[0]]])} uses unknown edge labels")
-        # Mod 2, an edge's two face incidences put it in two faces or in none.
-        uses = np.bincount(cols, minlength=len(labels))
-        bad = np.flatnonzero((uses != 0) & (uses != 2))
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"edge {labels[k]} appears in {uses[k]} faces; expected 0 or 2")
-        object.__setattr__(self, "_columns", (labels, ends, rows, cols))
+            raise ValueError(f"edge {bad[0] + 1} has label {labels[bad[0]]}; labels must ascend from 1")
+        for name, values, count in (("ends", self.ends, self.vertex_count), ("sides", self.sides, self.face_count)):
+            bad = np.flatnonzero(((values < 0) | (values >= count)).any(axis=0))
+            if bad.size:
+                k = bad[0]
+                raise ValueError(f"edge {labels[k]} has {name} {values[:, k].tolist()}, outside 0..{count - 1}")
 
     @property
-    def edge_labels(self) -> tuple[int, ...]:
-        return tuple(sorted(map(itemgetter(2), self.edges)))
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """``(a, b, label)`` of every edge, with 1-based vertices ``a`` and ``b``."""
+        return _cached(self, "_edges", lambda: tuple(zip(*(self.ends + 1).tolist(), self.labels.tolist())))
+
+    @property
+    def faces(self) -> tuple[frozenset[int], ...]:
+        """Mod-2 boundary support of every face: the labels of the edges with exactly one side on it."""
+        return _cached(self, "_faces", self._face_supports)
+
+    def _face_supports(self) -> tuple[frozenset[int], ...]:
+        keep = self.sides[0] != self.sides[1]
+        rows = self.sides[:, keep].ravel()
+        order = rows.argsort(kind="stable")  # group the entries by face
+        face_labels = np.tile(self.labels[keep], 2)[order].tolist()
+        bounds = rows[order].searchsorted(np.arange(self.face_count + 1)).tolist()
+        return tuple(frozenset(face_labels[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -130,43 +143,37 @@ class RotationGraph:
         )
 
 
-def rotation_faces(G: RotationGraph) -> tuple[tuple[int, ...], ...]:
-    """Faces of the embedded graph, as edge-end orbits of the face traversal."""
+def _face_traversal(G: RotationGraph) -> Permutation:
+    """The permutation of edge-ends whose orbits are the faces of the embedding."""
     if not G.edges:
         raise ValueError("face traversal needs at least one edge")
-    return (G.sigma() * G.end_swap()).orbits().orbits
+    return G.sigma() * G.end_swap()
+
+
+def rotation_faces(G: RotationGraph) -> tuple[tuple[int, ...], ...]:
+    """Faces of the embedded graph, as edge-end orbits of the face traversal."""
+    return _face_traversal(G).orbits().orbits
 
 
 def rotation_to_surface(G: RotationGraph) -> SurfaceGraph:
-    """Forget the rotation system, keeping the face list it induces.
+    """Forget the rotation system, keeping the faces it induces.
 
-    Edges are labeled by their 1-based edge index; each face becomes the
-    mod-2 support of the edges its boundary traverses.
+    Edges are labeled by their 1-based edge index; the sides of edge ``j``
+    are the faces of its edge-ends ``2j-1`` and ``2j``.
     """
-    faces = []
-    for orbit in rotation_faces(G):
-        support: set[int] = set()
-        for h in orbit:
-            support ^= {(h + 1) // 2}
-        faces.append(frozenset(support))
-    edges = tuple((a, b, j) for j, (a, b) in enumerate(G.edges, start=1))
-    return SurfaceGraph(G.vertex_count, edges, tuple(faces))
+    faces = _face_traversal(G).orbits()
+    ends = np.array(G.edges, dtype=np.intp).T - 1
+    return SurfaceGraph(G.vertex_count, len(faces), np.arange(1, len(G.edges) + 1), ends, faces.array.reshape(-1, 2).T)
 
 
 def surface_code(G: SurfaceGraph) -> CssCode:
-    """Surface code of an embedded graph.
+    """Surface code of an embedded graph, checked by support pairing.
 
     ``hx`` is the vertex-edge incidence matrix (a loop's endpoints coincide
     and cancel to a zero column) and ``hz`` the face-edge incidence matrix;
-    columns are ordered by ascending edge label.
+    column ``k`` is edge ``k``, in ascending label order.
     """
-    labels, ends, rows, cols = G._columns
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    rank = np.empty(len(order), dtype=np.intp)  # column of edge k, by ascending label
-    rank[order] = np.arange(len(order))
-    hz = np.zeros((len(G.faces), len(labels)), dtype=np.uint8)
-    hz[rows, rank[cols]] = 1
-    return CssCode(_toggle_columns(G.vertex_count, *ends[:, order].astype(np.intp)), hz)
+    return CssCode.from_columns(G.vertex_count, G.ends, G.face_count, G.sides)
 
 
 def hypermap_to_surface(H: Hypermap, S: tuple[int, ...] | None = None) -> SurfaceGraph:
@@ -174,24 +181,16 @@ def hypermap_to_surface(H: Hypermap, S: tuple[int, ...] | None = None) -> Surfac
 
     Vertices are the hypermap's vertex orbits; every nonspecial dart ``d``
     becomes an edge labeled ``d`` joining the vertices of ``d`` and of
-    ``tau^-1(d)``; the faces are the face-boundary supports, one per
-    hypermap face.  The surface code of the output is the canonical code.
-    The graph is read off the canonical code's column arrays, whose chain
-    condition is checked by pairing supports; neither matrix is built.
+    ``tau^-1(d)``, between the face of ``d`` and the face of its
+    hyperedge's special dart.  The surface code of the output is the
+    canonical code: the graph is the canonical code's column arrays, whose
+    chain condition is checked by pairing supports; neither matrix is built.
     """
     if S is None:
         S = choose_special_darts(H)
-    vertex_count, ends, face_count, face_ends = _canonical_columns(H, S)
-    _check_pairing(ends, face_count, face_ends)
-    labels = _nonspecial(H.n_darts, S) + 1
-    # A column whose two face rows coincide is zero: its edge is in no face.
-    keep = face_ends[0] != face_ends[1]
-    rows = face_ends[:, keep].ravel()
-    order = rows.argsort(kind="stable")  # group the entries by face
-    face_labels = np.tile(labels[keep], 2)[order].tolist()
-    bounds = rows[order].searchsorted(np.arange(face_count + 1)).tolist()
-    faces = tuple(frozenset(face_labels[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return SurfaceGraph(vertex_count, tuple(zip(*(ends + 1).tolist(), labels.tolist())), faces)
+    vertex_count, ends, face_count, sides = _canonical_columns(H, S)
+    _check_pairing(ends, face_count, sides)
+    return SurfaceGraph(vertex_count, face_count, _nonspecial(H.n_darts, S) + 1, ends, sides)
 
 
 def intermediate_surface(H: Hypermap) -> SurfaceGraph:
@@ -200,13 +199,13 @@ def intermediate_surface(H: Hypermap) -> SurfaceGraph:
     Every dart is still an edge and every hyperedge adds a face bounded by
     its darts, whatever the special darts; deleting the special edges of a
     choice and merging across them yields :func:`hypermap_to_surface`.
+    Dart ``d`` joins the vertices of ``d`` and of ``tau^-1(d)``, between
+    the face of ``d`` and the face of its hyperedge.
     """
-    faces = [frozenset(orbit) for orbit in H.faces().orbits]
-    faces += [frozenset(orbit) for orbit in H.hyperedges().orbits]
-    # Dart d joins the vertices of d and of tau^-1(d).
-    vertex = H.vertices().array + 1
-    edges = zip(vertex.tolist(), vertex[H.tau.inverse().array].tolist(), range(1, H.n_darts + 1))
-    return SurfaceGraph(len(H.vertices()), tuple(edges), tuple(faces))
+    vertices, faces, edges = H.vertices(), H.faces(), H.hyperedges()
+    ends = np.array((vertices.array, vertices.array[H.tau.inverse().array]))
+    sides = np.array((faces.array, len(faces) + edges.array))
+    return SurfaceGraph(len(vertices), len(faces) + len(edges), np.arange(1, H.n_darts + 1), ends, sides)
 
 
 def graph_to_hypermap(G: RotationGraph) -> tuple[Hypermap, tuple[int, ...]]:
@@ -227,41 +226,22 @@ def graph_to_hypermap(G: RotationGraph) -> tuple[Hypermap, tuple[int, ...]]:
     return H, choose_special_darts(H, preferred=preferred)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    equal: bool
-    hypermap_code: CssCode
-    surface_code: CssCode
-    hypermap_params: CodeParams
-    surface_params: CodeParams
+def verify_equivalence(H: Hypermap, S: tuple[int, ...] | None = None) -> tuple[CssCode, CodeParams]:
+    """The canonical code, which is the surface code of its graph, and its parameters.
 
-
-def verify_equivalence(H: Hypermap, S: tuple[int, ...] | None = None) -> EquivalenceReport:
-    """Build the canonical code and report it as the surface code of its graph.
-
-    The canonical code is built from its column arrays and its chain
-    condition checked once, by pairing supports
-    (:func:`~hypermap_codes.chain.boundary_pair`).  The equivalent surface
-    graph (:func:`hypermap_to_surface`) is read off those same arrays: edge
-    ``k`` joins the two vertex rows of column ``k`` and lies in its two face
-    rows, so its incidence matrices are the canonical code, bit for bit.
-    ``equal`` is therefore true by construction, and ``surface_code`` is
-    ``hypermap_code``.  The theorem is cross-checked independently in the
-    tests: against ``reference_surface_code`` and ``reference_boundary_rows``
-    (entry-by-entry builds) and, in acceptance criterion 7, against the
+    The code is built from its column arrays and its chain condition checked
+    once, by pairing supports (:func:`~hypermap_codes.chain.boundary_pair`);
+    a failed check raises ``ValueError``.  The equivalent surface graph
+    (:func:`hypermap_to_surface`) is those same arrays, so its code is this
+    one, bit for bit.  The tests cross-check the theorem independently:
+    against entry-by-entry builds (``reference_surface_code``,
+    ``reference_boundary_rows``) and, in acceptance criterion 7, against the
     faces of a rotation system.
     """
     if S is None:
         S = choose_special_darts(H)
     code = boundary_pair(H, S)
-    code_params = params(code)
-    return EquivalenceReport(
-        equal=True,
-        hypermap_code=code,
-        surface_code=code,
-        hypermap_params=code_params,
-        surface_params=code_params,
-    )
+    return code, params(code)
 
 
 def toric_rotation_graph(rows: int, cols: int) -> RotationGraph:

@@ -148,7 +148,10 @@ def test_criterion_5_surface_equivalence():
         rng = random.Random(107)
         for _ in range(50):
             H = random_hypermap(rng, 2, 20)
-            assert verify_equivalence(H, choose_special_darts(H)).equal
+            S = choose_special_darts(H)
+            code, p = verify_equivalence(H, S)
+            assert stabilizer_equal(surface_code(hypermap_to_surface(H, S)), code)
+            assert p == params(code)
 
 
 def test_criterion_6_distance_claims():

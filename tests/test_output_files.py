@@ -1,5 +1,10 @@
-"""Output files: every writer writes in place and cuts a regular file to length."""
+"""Output files: every writer writes in place and cuts a regular file to length.
 
+The CLI flushes its report before it writes a file, and a closed pipe on
+stdout exits 141 with nothing on stderr.
+"""
+
+import io
 import os
 import stat
 import subprocess
@@ -157,3 +162,79 @@ def test_build_out_to_dev_stdout_through_a_pipe():
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == f"n=6 k=2\n{expected}wrote=/dev/stdout\n".encode()
+
+
+def _cli_env(unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def test_build_out_to_dev_stdout_through_a_buffered_pipe():
+    # Buffered, the report line is flushed before the block is written
+    # through a second descriptor, so the pipe sees them in call order.
+    expected = css.format_stabilizer(css.build_canonical(*torus_hypermap()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypermap_codes", "build", TORUS, "--out", "/dev/stdout"],
+        capture_output=True,
+        env=_cli_env(unbuffered=False),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == f"n=6 k=2\n{expected}wrote=/dev/stdout\n".encode()
+
+
+@pytest.fixture(scope="module")
+def toric16(tmp_path_factory):
+    """A toric 16x16 hypermap: its stabilizer block (about 512 KiB) overfills a pipe."""
+    path = tmp_path_factory.mktemp("toric16") / "toric16.json"
+    hypermap.save_hypermap(path, *surface.graph_to_hypermap(surface.toric_rotation_graph(16, 16)))
+    return str(path)
+
+
+def _first_line_then_close(argv, unbuffered):
+    """``(exit code, first stdout line, stderr)`` of the CLI, its stdout read like ``head -n 1`` reads it."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypermap_codes", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_cli_env(unbuffered),
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, line, err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "source, out, codes",
+    [
+        # The torus block fits in the pipe, so whether the reader is gone
+        # before the last write is a race: 0 or 141, never a traceback.
+        pytest.param("torus", ["--out", "/dev/stdout"], (0, 141), id="torus-out-dev-stdout"),
+        pytest.param("toric16", ["--out", "/dev/stdout"], (141,), id="toric16-out-dev-stdout"),
+        pytest.param("toric16", [], (141,), id="toric16-stdout"),
+    ],
+)
+def test_closed_stdout_pipe_exits_141_quietly(toric16, source, out, codes, unbuffered):
+    if source == "toric16" and not out and unbuffered:
+        # Unbuffered, stdout writes straight to the pipe, and CPython drops
+        # the short count of the write the reader cut off: no error is raised.
+        codes = (0, 141)
+    path, first_line = (TORUS, b"n=6 k=2\n") if source == "torus" else (toric16, b"n=512 k=2\n")
+    rc, line, err = _first_line_then_close(["build", path, *out], unbuffered)
+    assert (line, err) == (first_line, b"")
+    assert rc in codes
+
+
+def test_broken_pipe_exits_141_in_process(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["build", TORUS]) == 141
+    assert capsys.readouterr().err == ""

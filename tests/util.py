@@ -22,10 +22,12 @@ from hypermap_codes import (
     nonspecial_darts,
     params,
     project_nonspecial,
+    rotation_faces,
 )
 from hypermap_codes import gf2
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def torus_hypermap():
@@ -144,8 +146,8 @@ def reference_hypermap_from_cycles(n, sigma_cycles, tau_cycles):
 
 
 def reference_surface_code(G):
-    """``(hx, hz)`` of :func:`surface_code`, one matrix entry at a time."""
-    labels = G.edge_labels
+    """``(hx, hz)`` of :func:`surface_code`, one matrix entry at a time, from the edge triples and face supports."""
+    labels = G.labels.tolist()
     col = {label: k for k, label in enumerate(labels)}
     hx = np.zeros((G.vertex_count, len(labels)), dtype=np.uint8)
     for a, b, label in G.edges:
@@ -156,6 +158,20 @@ def reference_surface_code(G):
         for label in face:
             hz[f, col[label]] = 1
     return hx, hz
+
+
+def reference_rotation_faces(G):
+    """Face supports of :func:`rotation_to_surface`, one edge-end at a time.
+
+    Every edge-end ``h`` of a face toggles edge ``(h + 1) // 2`` in its support.
+    """
+    faces = []
+    for orbit in rotation_faces(G):
+        support = set()
+        for h in orbit:
+            support ^= {(h + 1) // 2}
+        faces.append(frozenset(support))
+    return tuple(faces)
 
 
 def random_hypermap(rng, min_darts=2, max_darts=20):
