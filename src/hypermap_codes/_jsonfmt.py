@@ -18,7 +18,7 @@ def read_json(path):
 
 
 def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` in place, then cut a regular file to length.
+    """Write ``text`` to ``path`` in place, then cut a regular file that is longer.
 
     The file is opened without ``O_TRUNC``, created with mode ``0o666 &
     ~umask`` if missing, and written with :func:`open`'s default encoding
@@ -26,14 +26,17 @@ def write_text(path, text: str) -> None:
     with ``auto_da_alloc``, truncating a non-empty file to size zero makes
     ``close()`` start writeback, which the next rewrite of the same file
     waits for; writing over the old bytes and truncating at the end
-    position does not.  Only a regular file is truncated: a pipe, a FIFO
-    or a terminal cannot be, and ``/dev/null`` is seekable but refuses
-    ``ftruncate``.  A write that fails part-way leaves the new prefix
-    followed by the old tail.
+    position does not.  Only a regular file is truncated, and only when it
+    is longer than the text: a rewrite of the same length makes no
+    ``ftruncate`` call.  A pipe, a FIFO or a terminal cannot be truncated,
+    and ``/dev/null`` is seekable but refuses ``ftruncate``.  A write that
+    fails part-way leaves the new prefix followed by the old tail.
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.write(text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.flush()
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size != fh.tell():
             fh.truncate()
 
 

@@ -30,13 +30,17 @@ entry ``(r, s)`` of ``hx @ hz^t`` is the parity of the number of keys
 ``(r, s)`` among the four row pairs of every column, so the condition holds
 exactly when every key occurs an even number of times.  The surface
 conversion takes the same arrays (``_canonical_columns``) and runs the same
-check (``_check_pairing``) without building either matrix.  A code given as
+check (``_check_pairing``) without building either matrix.  A code built
+this way keeps the arrays and builds neither matrix until one is read:
+:func:`~hypermap_codes.css.params` ranks it on the arrays, since a matrix
+whose every column toggles two rows is the incidence matrix of a graph,
+of rank ``rows - connected components`` over GF(2).  A code given as
 dense matrices (a transformed code, a file) is checked by one
-:func:`~hypermap_codes.gf2.mul` product instead.  The per-face and per-dart
-helpers (:func:`face_dart_sum`, :func:`project_nonspecial`,
-:func:`dart_vertex_sum`) compute the same rows one at a time; tests use them
-as the reference.  :func:`apply_basis_change` re-expresses the pair in
-another basis of the quotient space.
+:func:`~hypermap_codes.gf2.mul` product instead, and ranked by
+elimination.  The per-face and per-dart helpers (:func:`face_dart_sum`,
+:func:`project_nonspecial`, :func:`dart_vertex_sum`) compute the same rows
+one at a time; tests use them as the reference.  :func:`apply_basis_change`
+re-expresses the pair in another basis of the quotient space.
 """
 
 from __future__ import annotations
@@ -141,11 +145,16 @@ class CssCode:
 
     Every code is checked once, when it is built: from dense matrices by one
     :func:`~hypermap_codes.gf2.mul` product, or by :meth:`from_columns` from
-    column index arrays, which the code then keeps as ``_columns``.
+    column index arrays, which the code then keeps as ``_columns``, with
+    its row counts as ``_rows``.  A column-built code fills each of ``hx``
+    and ``hz`` the first time it is read (:meth:`__getattr__`); until then
+    it holds only the arrays.
     """
 
     hx: np.ndarray
     hz: np.ndarray
+    # Set by from_columns on the code it builds; None for a dense-built code.
+    _rows = _columns = None
 
     def __post_init__(self):
         hx = gf2.as_matrix(self.hx).copy()
@@ -169,19 +178,29 @@ class CssCode:
         two rows coincide is zero.  The chain condition is checked by
         pairing supports (:func:`_check_pairing`).  The arrays are not
         copied: they are made read-only in place and kept as ``_columns``.
+        Neither matrix is built here.
         """
         _check_pairing(x_ends, z_rows, z_ends)
         x_ends.setflags(write=False)
         z_ends.setflags(write=False)
         code = cls.__new__(cls)
-        object.__setattr__(code, "hx", _readonly(_toggle_columns(x_rows, *x_ends)))
-        object.__setattr__(code, "hz", _readonly(_toggle_columns(z_rows, *z_ends)))
+        object.__setattr__(code, "_rows", (x_rows, z_rows))
         object.__setattr__(code, "_columns", (x_ends, z_ends))
         return code
 
+    def __getattr__(self, name: str):
+        # Reached only when ``name`` is not set: ``hx`` or ``hz`` of a
+        # column-built code that has not been read yet.
+        if name not in ("hx", "hz") or self._columns is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        i = ("hx", "hz").index(name)
+        matrix = _readonly(_toggle_columns(self._rows[i], *self._columns[i]))
+        object.__setattr__(self, name, matrix)
+        return matrix
+
     @property
     def n(self) -> int:
-        return self.hx.shape[1]
+        return self.hx.shape[1] if self._columns is None else self._columns[0].shape[1]
 
 
 def _canonical_columns(H: Hypermap, S: tuple[int, ...]) -> tuple[int, np.ndarray, int, np.ndarray]:

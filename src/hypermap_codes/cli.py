@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a semantically valid input fails a
 verification (``compare`` of unequal stabilizers), 2 on malformed or
-invalid input, 141 (128 + SIGPIPE, nothing on stderr) when the reader of a
+invalid input or an allocation that fails (``MemoryError``, one
+``error:`` line), 141 (128 + SIGPIPE, nothing on stderr) when the reader of a
 pipe it writes to has gone, as after ``| head -n 1``.  Reports are
 line-oriented ``key=value`` where machine-readable, flushed before each
 output file is written, so ``--out /dev/stdout`` keeps their order.
@@ -50,6 +51,27 @@ def _save(write, path, *args) -> None:
     print(f"wrote={path}")
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of ``text`` to stdout, or raise.
+
+    Unbuffered (``python -u``, ``PYTHONUNBUFFERED``), the text layer of the
+    process's stdout writes straight to the file and drops the count of a
+    short write, which a pipe closed part-way returns: the rest of the text
+    is lost with no error.  So on the process's own stdout the text layer
+    is flushed and the encoded text written to the binary layer in a loop,
+    whose next write to a closed pipe raises ``BrokenPipeError``.  Any
+    other stdout (``contextlib.redirect_stdout``) is written as text.
+    """
+    out = sys.stdout
+    if out is not sys.__stdout__:
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[out.buffer.write(data) :]
+
+
 def _distance_fields(code: css.CssCode, bases=None) -> str:
     dx, dz = distance_split(code, bases)
     return f"d={min(dx, dz)} dx={dx} dz={dz}"
@@ -81,7 +103,7 @@ def cmd_build(args) -> int:
     if args.out:
         _save(css.write_stabilizer, args.out, code)
     else:
-        sys.stdout.write(css.format_stabilizer(code))
+        _write_stdout(css.format_stabilizer(code))
     return 0
 
 
@@ -223,6 +245,9 @@ def main(argv=None) -> int:
         return 141
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

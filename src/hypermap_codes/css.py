@@ -5,7 +5,9 @@ A :class:`CssCode` is the pair of generator matrices ``(hx, hz)`` with
 in :mod:`~hypermap_codes.chain`, whose :func:`boundary_pair` returns the
 canonical code, and is re-exported here.  Dependent rows are kept, since
 the row spaces are what define the code; :func:`reduced` drops them for
-display.  :func:`params` gives ``n`` and ``k`` only; the distance comes from
+display.  :func:`params` gives ``n`` and ``k`` only, ranking a column-built
+code by the connected components of its column graphs and a dense one by
+elimination; the distance comes from
 :func:`~hypermap_codes.distance.distance_split`, and row-space equality from
 the echelon bases of :func:`~hypermap_codes.gf2.row_basis`.
 
@@ -30,7 +32,7 @@ import numpy as np
 from . import gf2
 from ._jsonfmt import write_text
 from .chain import CssCode, apply_basis_change, boundary_pair
-from .hypermap import Hypermap, choose_special_darts
+from .hypermap import Hypermap, choose_special_darts, components
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,21 @@ def reduced(code: CssCode) -> CssCode:
 
 
 def params(code: CssCode) -> CodeParams:
-    """Length and logical count; ``k = n - rank(hx) - rank(hz)``."""
-    return CodeParams(n=code.n, k=code.n - gf2.rank(code.hx) - gf2.rank(code.hz))
+    """Length and logical count; ``k = n - rank(hx) - rank(hz)``.
+
+    A column-built code (:meth:`CssCode.from_columns`) is ranked on its
+    column arrays, with no matrix: each column toggles two rows, so ``hx``
+    is the incidence matrix of a graph on its rows (a loop is a zero
+    column), and over GF(2) its rank is ``rows - components``.  The rows of
+    a component sum to zero, and the edges of a spanning forest are
+    independent.  The same holds for ``hz``.  A code given as dense
+    matrices is ranked by :func:`~hypermap_codes.gf2.rank`.
+    """
+    if code._columns is None:
+        ranks = gf2.rank(code.hx) + gf2.rank(code.hz)
+    else:
+        ranks = sum(rows - components(rows, *ends)[0] for rows, ends in zip(code._rows, code._columns))
+    return CodeParams(n=code.n, k=code.n - ranks)
 
 
 def cnot_circuit(T) -> CnotCircuit:

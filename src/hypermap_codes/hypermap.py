@@ -10,9 +10,10 @@ labels themselves are always 1-based.
 
 Construction validates everything: permutations must be bijections and the
 group generated by ``sigma`` and ``tau`` must act transitively on the darts
-(a connected hypermap; one walk from dart 1 checks it).  Invalid data cannot
-be represented.  A special-dart choice, one dart per hyperedge, is a plain
-tuple of labels (:func:`check_special_darts`, :func:`given_special_darts`).
+(a connected hypermap; :func:`components` checks it on the vertices).
+Invalid data cannot be represented.  A special-dart choice, one dart per
+hyperedge, is a plain tuple of labels (:func:`check_special_darts`,
+:func:`given_special_darts`).
 
 Both classes are frozen, so derived structure is computed at most once per
 object, on first use: a :class:`Permutation` keeps its orbit partition and
@@ -115,6 +116,27 @@ def _raise_bad_cycle_entry(cycles, n: int) -> None:
             if x in seen:
                 raise NotBijectiveError(f"label {x} appears in two cycles")
             seen.add(x)
+
+
+def components(count: int, a: np.ndarray, b: np.ndarray) -> tuple[int, list[int]]:
+    """Connected components of the graph on nodes ``0..count-1`` with edges ``(a[k], b[k])``.
+
+    Returns their number and a union-find forest: following ``parent``
+    from any node ends at the root of its component.  Every edge joins the
+    roots of its two ends, found with path halving; an edge within one tree
+    joins nothing.  A loop ``a[k] == b[k]`` is such an edge.
+    """
+    parent = list(range(count))
+    trees = count
+    for x, y in zip(a.tolist(), b.tolist()):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[x] = y
+            trees -= 1
+    return trees, parent
 
 
 @dataclass(frozen=True)
@@ -281,20 +303,18 @@ class Hypermap:
         n = self.sigma.n
         if n == 0:
             raise NotConnectedError("a hypermap needs at least one dart")
-        # Every dart reachable from dart 1 by the forward images of sigma and
-        # tau; for permutations of a finite set that is the whole orbit.
-        sigma, tau = self.sigma.image, self.tau.image
-        seen = [False] * (n + 1)
-        seen[1] = True
-        stack = [1]
-        while stack:
-            d = stack.pop() - 1
-            for e in (sigma[d], tau[d]):
-                if not seen[e]:
-                    seen[e] = True
-                    stack.append(e)
-        reached = seen.count(True)
-        if reached != n:
+        # The darts are connected through sigma and tau exactly when the
+        # vertices (sigma orbits) are connected by one edge per dart, from
+        # the vertex of d to the vertex of tau(d).
+        vertices = self.sigma.orbits()
+        vertex = vertices.array
+        trees, parent = components(len(vertices), vertex, vertex[self.tau.array])
+        if trees > 1:
+            # Pointer jumping takes every vertex to the root of its tree.
+            root = np.array(parent)
+            while np.count_nonzero(root[root] != root):
+                root = root[root]
+            reached = np.count_nonzero(root[vertex] == root[vertex[0]])
             raise NotConnectedError(
                 f"only {reached} of {n} darts are reachable from dart 1 under sigma and tau"
             )

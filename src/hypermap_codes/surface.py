@@ -19,7 +19,7 @@ checks the chain condition on those arrays by pairing supports and builds
 no matrix.  The surface code of that graph is the canonical code, column
 for column, so :func:`verify_equivalence` builds no graph: it builds and
 checks the canonical code once (:func:`~hypermap_codes.chain.boundary_pair`)
-and returns it with its parameters.  :func:`surface_code` builds the code
+and returns it with its parameters, ranked on the column arrays.  :func:`surface_code` builds the code
 of any graph from its columns, checked by the same support pairing.
 :func:`intermediate_surface` materializes the pre-merge stage (all darts
 kept as edges, hyperedges as extra faces) for DOT export and debugging.
@@ -231,7 +231,9 @@ def verify_equivalence(H: Hypermap, S: tuple[int, ...] | None = None) -> tuple[C
 
     The code is built from its column arrays and its chain condition checked
     once, by pairing supports (:func:`~hypermap_codes.chain.boundary_pair`);
-    a failed check raises ``ValueError``.  The equivalent surface graph
+    a failed check raises ``ValueError``.  Its ranks are connected-component
+    counts on the same arrays (:func:`~hypermap_codes.css.params`), so
+    neither dense matrix is built.  The equivalent surface graph
     (:func:`hypermap_to_surface`) is those same arrays, so its code is this
     one, bit for bit.  The tests cross-check the theorem independently:
     against entry-by-entry builds (``reference_surface_code``,

@@ -83,6 +83,9 @@ def test_criterion_1_worked_example_stabilizer():
 
 
 def test_criterion_2_parameter_law():
+    # Three independent counts of k: params ranks the canonical code by the
+    # connected components of its column graphs, gf2.rank eliminates the
+    # dense matrices, and the genus comes from the orbit counts.
     with criterion("2 k = n - rank(Hx) - rank(Hz) = 2g", 10.0):
         H, S = torus_hypermap()
         code = build_canonical(H, S)

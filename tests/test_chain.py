@@ -21,6 +21,7 @@ from hypermap_codes import (
     toric_rotation_graph,
 )
 from hypermap_codes import chain, css, gf2
+from hypermap_codes.hypermap import components
 from util import (
     random_hypermap,
     random_invertible,
@@ -231,6 +232,89 @@ def test_boundary_pair_matches_reference_helpers():
         one_dart_edges += sum(len(e) == 1 for e in H.hyperedges().orbits)
         loops += int(np.sum(~p1.any(axis=0)))
     assert one_dart_edges and loops
+
+
+def graph_column_cases():
+    """``(rows, ends)``: random graphs on the rows, one edge per column.
+
+    Among them are loops (zero columns), rows that no nonzero column
+    touches, graphs of several components, and graphs with no columns.
+    """
+    draw = np.random.default_rng(131)
+    cases = [(0, np.zeros((2, 0), dtype=np.intp)), (3, np.zeros((2, 0), dtype=np.intp))]
+    for _ in range(500):
+        rows, n = int(draw.integers(1, 13)), int(draw.integers(0, 16))
+        used = int(draw.integers(1, rows + 1))  # rows past ``used`` touch no column
+        ends = draw.integers(0, used, (2, n))
+        loop = draw.random(n) < 0.2
+        ends[1, loop] = ends[0, loop]
+        cases.append((rows, ends))
+    return cases
+
+
+def test_component_rank_matches_elimination():
+    seen = Counter()
+    for rows, ends in graph_column_cases():
+        trees, _ = components(rows, *ends)
+        assert rows - trees == gf2.rank(chain._toggle_columns(rows, *ends))
+        nonzero = ends[:, ends[0] != ends[1]]
+        seen["loop"] += nonzero.shape[1] < ends.shape[1]
+        seen["isolated row"] += len(set(nonzero.ravel().tolist())) < rows
+        seen["disconnected"] += trees > 1
+        seen["no columns"] += not ends.size
+    assert len(seen) == 4 and min(seen.values()) >= 2
+
+
+def test_params_ranks_column_built_codes_by_components(monkeypatch):
+    # Every orthogonal case of column_array_cases (toric and random
+    # hypermaps, random arrays) ranked by components, against elimination
+    # of the matrices built one entry at a time.
+    checked, rank = 0, gf2.rank
+    monkeypatch.setattr(gf2, "rank", lambda M: pytest.fail("gf2.rank called on a column-built code"))
+    for x_rows, x_ends, z_rows, z_ends in column_array_cases():
+        try:
+            code = CssCode.from_columns(x_rows, x_ends, z_rows, z_ends)
+        except ValueError:
+            continue
+        expected = code.n - rank(_dense(x_rows, x_ends)) - rank(_dense(z_rows, z_ends))
+        p = css.params(code)
+        assert (p.n, p.k) == (x_ends.shape[1], expected)
+        assert "hx" not in vars(code) and "hz" not in vars(code)
+        checked += 1
+    assert checked > 200
+
+
+def test_params_ranks_dense_codes_by_elimination(monkeypatch):
+    ranked = []
+    original = gf2.rank
+    monkeypatch.setattr(gf2, "rank", lambda M: ranked.append(M.shape) or original(M))
+    H, S = torus_hypermap()
+    code = boundary_pair(H, S)
+    assert css.params(CssCode(code.hx, code.hz)).k == 2
+    assert ranked == [(2, 6), (4, 6)]
+
+
+def test_first_read_fills_each_matrix_bit_for_bit():
+    # A column-built code holds no matrix until one is read; each read
+    # then matches the dense build of the same columns, bit for bit.
+    rng = random.Random(137)
+    cases = [torus_hypermap()]
+    cases += [graph_to_hypermap(toric_rotation_graph(L, L)) for L in (2, 3, 5, 8)]
+    cases += [(H, random_special_darts(rng, H)) for H in (random_hypermap(rng, 1, 24) for _ in range(40))]
+    for H, S in cases:
+        code = boundary_pair(H, S)
+        x_rows, x_ends, z_rows, z_ends = chain._canonical_columns(H, S)
+        assert "hx" not in vars(code) and "hz" not in vars(code)
+        assert code.n == x_ends.shape[1]
+        for name, rows, ends in (("hz", z_rows, z_ends), ("hx", x_rows, x_ends)):
+            matrix = getattr(code, name)
+            dense = chain._toggle_columns(rows, *ends)
+            assert (matrix.dtype, matrix.shape, matrix.tobytes()) == (dense.dtype, dense.shape, dense.tobytes())
+            assert np.array_equal(matrix, _dense(rows, ends))
+            assert not matrix.flags.writeable
+            assert getattr(code, name) is matrix
+        with pytest.raises(AttributeError, match="no attribute 'hy'"):
+            code.hy
 
 
 def test_basis_change_identity_is_noop():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypermap_codes import build_canonical, cli, gf2, load_hypermap, transform
+from hypermap_codes import build_canonical, chain, cli, gf2, load_hypermap, transform
 from hypermap_codes.cli import main
 from util import FIXTURES
 
@@ -303,6 +303,27 @@ def test_from_graph_round_trip(tmp_path, capsys):
 def test_verify_torus(capsys):
     assert main(["verify", TORUS]) == 0
     assert "equal=true" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        pytest.param(
+            "Unable to allocate 8.00 GiB for an array with shape (65536, 131072) and data type uint8",
+            "error: Unable to allocate 8.00 GiB for an array with shape (65536, 131072) and data type uint8",
+            id="numpy-message",
+        ),
+        pytest.param("", "error: out of memory", id="empty-message"),
+    ],
+)
+def test_out_of_memory_is_one_line_and_exit_2(monkeypatch, capsys, message, line):
+    # build fills the dense hx on its first read; that allocation fails here.
+    def fail(rows, a, b):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(chain, "_toggle_columns", fail)
+    assert main(["build", TORUS]) == 2
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 def test_decompose_identity(tmp_path, capsys):

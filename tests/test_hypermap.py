@@ -17,7 +17,7 @@ from hypermap_codes import (
     hypermap_to_json,
     params,
 )
-from hypermap_codes.hypermap import check_special_darts
+from hypermap_codes.hypermap import check_special_darts, components
 from util import (
     random_hypermap,
     random_permutation,
@@ -236,6 +236,32 @@ def test_connectivity_matches_union_find_reference():
                 Hypermap(sigma, tau)
         connected.add(reached == n)
     assert connected == {True, False}
+
+
+def test_components_forest_matches_a_search():
+    # Two nodes share a root exactly when a search from one reaches the other.
+    draw = np.random.default_rng(157)
+    for _ in range(300):
+        count, m = int(draw.integers(0, 12)), int(draw.integers(0, 14))
+        a, b = draw.integers(0, max(count, 1), (2, m if count else 0))
+        trees, parent = components(count, a, b)
+        root = []
+        for x in range(count):
+            while parent[x] != x:
+                x = parent[x]
+            root.append(x)
+        neighbours = [set() for _ in range(count)]
+        for x, y in zip(a.tolist(), b.tolist()):
+            neighbours[x].add(y)
+            neighbours[y].add(x)
+        for x in range(count):
+            reached, stack = {x}, [x]
+            while stack:
+                for y in neighbours[stack.pop()] - reached:
+                    reached.add(y)
+                    stack.append(y)
+            assert reached == {y for y in range(count) if root[y] == root[x]}
+        assert trees == len(set(root))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Output files: every writer writes in place and cuts a regular file to length.
+"""Output files: every writer writes in place and cuts a longer regular file to length.
 
 The CLI flushes its report before it writes a file, and a closed pipe on
 stdout exits 141 with nothing on stderr.
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermap_codes import css, gf2, hypermap, surface
+from hypermap_codes import _jsonfmt, css, gf2, hypermap, surface
 from hypermap_codes._jsonfmt import compact_json
 from hypermap_codes.cli import main
 from util import FIXTURES, torus_hypermap
@@ -137,6 +137,23 @@ def test_cli_unwritable_output_exits_2_with_one_line(tmp_path, capsys, command, 
     assert err == f"error: {errno_text}: '{path}'\n"
 
 
+def test_rewrite_cuts_only_a_longer_file(tmp_path, monkeypatch):
+    # A file of the text's length is left uncut: no truncate call.
+    truncated = []
+
+    def counting_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        truncate = fh.truncate
+        fh.truncate = lambda *size: truncated.append(size) or truncate(*size)
+        return fh
+
+    monkeypatch.setattr(_jsonfmt, "open", counting_open, raising=False)
+    path = tmp_path / "out"
+    for text, cuts in [("abcdef\n", 0), ("uvwxyz\n", 0), ("ab\n", 1), ("ab\n", 1), ("longer text\n", 1)]:
+        _jsonfmt.write_text(path, text)
+        assert (path.read_text(), len(truncated)) == (text, cuts)
+
+
 def test_build_out_to_a_fifo(tmp_path, capsys):
     expected = css.format_stabilizer(css.build_canonical(*torus_hypermap()))
     fifo = tmp_path / "fifo"
@@ -194,18 +211,21 @@ def toric16(tmp_path_factory):
     return str(path)
 
 
-def _first_line_then_close(argv, unbuffered):
-    """``(exit code, first stdout line, stderr)`` of the CLI, its stdout read like ``head -n 1`` reads it."""
+def _read_then_close(argv, unbuffered, read=lambda stdout: stdout.readline()):
+    """``(exit code, what ``read`` took from stdout, stderr)`` of the CLI; stdout is closed after ``read``.
+
+    The default reads the first line, as ``head -n 1`` does.
+    """
     proc = subprocess.Popen(
         [sys.executable, "-m", "hypermap_codes", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_cli_env(unbuffered),
     )
-    line = proc.stdout.readline()
+    head = read(proc.stdout)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
-    return proc.returncode, line, err
+    return proc.returncode, head, err
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -220,14 +240,20 @@ def _first_line_then_close(argv, unbuffered):
     ],
 )
 def test_closed_stdout_pipe_exits_141_quietly(toric16, source, out, codes, unbuffered):
-    if source == "toric16" and not out and unbuffered:
-        # Unbuffered, stdout writes straight to the pipe, and CPython drops
-        # the short count of the write the reader cut off: no error is raised.
-        codes = (0, 141)
     path, first_line = (TORUS, b"n=6 k=2\n") if source == "torus" else (toric16, b"n=512 k=2\n")
-    rc, line, err = _first_line_then_close(["build", path, *out], unbuffered)
+    rc, line, err = _read_then_close(["build", path, *out], unbuffered)
     assert (line, err) == (first_line, b"")
     assert rc in codes
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_pipe_closed_after_a_few_bytes_exits_141(toric16, unbuffered):
+    # As ``| head -c 20``: the reader takes the report line and the start of
+    # the block.  Unbuffered, the write it cuts short is finished by a second
+    # write, which finds the pipe closed.
+    code = css.build_canonical(*hypermap.load_hypermap(toric16))
+    expected = ("n=512 k=2\n" + css.format_stabilizer(code))[:20].encode()
+    assert _read_then_close(["build", toric16], unbuffered, lambda stdout: stdout.read(20)) == (141, expected, b"")
 
 
 def test_broken_pipe_exits_141_in_process(capsys, monkeypatch):

@@ -30,7 +30,7 @@ from hypermap_codes import (
     toric_rotation_graph,
     verify_equivalence,
 )
-from hypermap_codes import chain, gf2, load_hypermap, surface
+from hypermap_codes import chain, gf2, load_hypermap, save_hypermap, surface
 from hypermap_codes.cli import main
 from hypermap_codes.surface import (
     rotation_graph_from_json,
@@ -323,8 +323,8 @@ def test_each_code_is_checked_once(monkeypatch):
 @pytest.mark.parametrize("L", [24, 48])
 def test_verify_equivalence_toric(L):
     # The chain condition is checked without a dense product (at 48x48 the
-    # product alone peaked at 243 MiB), and the canonical code is the only
-    # pair of dense matrices: a second pair would add about 21 MiB.
+    # product alone peaked at 243 MiB), and the code is ranked on its column
+    # arrays: no pair of dense matrices (about 21 MiB at 48x48) is built.
     H, S = graph_to_hypermap(toric_rotation_graph(L, L))
     tracemalloc.start()
     try:
@@ -348,6 +348,39 @@ def test_hypermap_to_surface_builds_no_matrix():
         tracemalloc.stop()
     assert (G.vertex_count, len(G.edges), len(G.faces)) == (48 * 48, 2 * 48 * 48, 48 * 48)
     assert peak < 8 * 2**20
+
+
+def test_verify_equivalence_builds_no_matrix():
+    # At 64x64 the two dense boundary matrices would take 64 MiB, and
+    # eliminating them peaked at 74 MiB.
+    H, S = graph_to_hypermap(toric_rotation_graph(64, 64))
+    tracemalloc.start()
+    try:
+        code, p = verify_equivalence(H, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (p.n, p.k) == (2 * 64 * 64, 2)
+    assert "hx" not in vars(code) and "hz" not in vars(code)
+    assert peak < 8 * 2**20
+
+
+def test_verify_never_fills_or_eliminates_a_matrix(monkeypatch, capsys, tmp_path):
+    def refuse(*args):
+        pytest.fail("verify built or eliminated a dense matrix")
+
+    monkeypatch.setattr(chain, "_toggle_columns", refuse)
+    monkeypatch.setattr(gf2, "rank", refuse)
+    monkeypatch.setattr(gf2, "row_echelon", refuse)
+    for L in (2, 5, 16):
+        H, S = graph_to_hypermap(toric_rotation_graph(L, L))
+        assert verify_equivalence(H, S)[1].k == 2
+    for H, S in surface_cases(149):
+        verify_equivalence(H, S)
+    path = tmp_path / "toric.json"
+    save_hypermap(path, *graph_to_hypermap(toric_rotation_graph(8, 8)))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "equal=true\nhypermap_code n=128 k=2\nsurface_code n=128 k=2\n"
 
 
 def test_hypermap_to_surface_keeps_the_pairing_check(monkeypatch):

@@ -452,11 +452,13 @@ def reference_parse_matrix(text):
             return np.zeros((rows, 0), dtype=np.uint8)
     if found != rows:
         raise ValueError(f"expected {rows} matrix rows, found {found}")
-    M = np.zeros((rows, cols), dtype=np.uint8)
     for r, line in enumerate(lines[1:]):
         row = line.split()
         if len(row) != cols:
             raise ValueError(f"row {r + 1} has {len(row)} entries, expected {cols}")
+    # Allocated once every row has its entries, so a huge header count
+    # with short rows is an error, not a MemoryError.
+    M = np.zeros((rows, cols), dtype=np.uint8)
     for r, line in enumerate(lines[1:]):
         for c, tok in enumerate(line.split()):
             if tok not in ("0", "1"):
