@@ -72,8 +72,8 @@ def _write_stdout(text: str) -> None:
         data = data[out.buffer.write(data) :]
 
 
-def _distance_fields(code: css.CssCode, bases=None) -> str:
-    dx, dz = distance_split(code, bases)
+def _distance_fields(code: css.CssCode) -> str:
+    dx, dz = distance_split(code)
     return f"d={min(dx, dz)} dx={dx} dz={dz}"
 
 
@@ -86,24 +86,23 @@ def cmd_info(args) -> int:
 
 
 def cmd_build(args) -> int:
+    """``k`` is the canonical code's: CNOTs and ``--reduce`` keep both ranks."""
     H, special = _load_hypermap_and_special(args.hypermap, args.special)
     code = css.build_canonical(H, special)
+    k = css.params(code).k
     if args.basis_change is not None:
-        T = gf2.read_matrix(args.basis_change)
-        code = css.transform(code, T)
+        code = css.transform(code, gf2.read_matrix(args.basis_change))
     if args.reduce:
         code = css.reduced(code)
-    # One elimination per sector gives k here and the oracle's reducers.
-    bases = gf2.row_basis(code.hx), gf2.row_basis(code.hz)
-    k = code.n - len(bases[0][0]) - len(bases[1][0])
     line = f"n={code.n} k={k}"
     if args.distance:
-        line += " " + (_distance_fields(code, bases) if k else "d=none")
+        line += " " + (_distance_fields(code) if k else "d=none")
+    text = css.format_stabilizer(code)  # a failed allocation leaves stdout empty
     print(line)
     if args.out:
-        _save(css.write_stabilizer, args.out, code)
+        _save(write_text, args.out, text)
     else:
-        _write_stdout(css.format_stabilizer(code))
+        _write_stdout(text)
     return 0
 
 
@@ -177,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hypermap-homology CSS codes and their surface-code equivalents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its own parser
 
     p = sub.add_parser("info", help="orbit counts, genus and default special darts")
     p.add_argument("hypermap", help="hypermap JSON file")
@@ -231,8 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser would, by the parser of the subcommand it names.
+
+    The full parser runs only for its own usage and error lines.
+    """
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+    return parser.parse_args(argv) if args is None or rest else args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         rc = args.func(args)
         sys.stdout.flush()

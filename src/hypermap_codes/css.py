@@ -134,18 +134,22 @@ def _apply_gates(code: CssCode, gates: np.ndarray) -> CssCode:
     Row ``l`` of ``gates`` is the 1-based ``(control, target)`` of gate ``l``.
     Every column is held as a Python int (packed as a row of the transpose),
     so a gate is one XOR of two ints in each sector; a leading unused entry
-    lets the 1-based labels index the column lists directly.  The labels are
-    read as one flat list, taken in pairs.  The gates must already be
-    checked by :class:`CnotCircuit`.
+    lets the 1-based labels index the column lists directly.  A column-built
+    code enters from its column arrays, column ``k`` as ``(1 << a) ^ (1 << b)``
+    for its two rows ``a`` and ``b``, with neither dense matrix filled.  The
+    labels are read as one flat list, taken in pairs.  The gates must
+    already be checked by :class:`CnotCircuit`.
     """
-    xcols, zcols = [0, *gf2._pack_rows(code.hx.T)], [0, *gf2._pack_rows(code.hz.T)]
+    if code._columns is None:
+        xcols, zcols = [0, *gf2._pack_rows(code.hx.T)], [0, *gf2._pack_rows(code.hz.T)]
+    else:
+        xcols, zcols = ([0, *((1 << a) ^ (1 << b) for a, b in zip(*ends.tolist()))] for ends in code._columns)
     labels = iter(gates.ravel().tolist())
     for c, t in zip(labels, labels):
         xcols[t] ^= xcols[c]
         zcols[c] ^= zcols[t]
-    hx = gf2._unpack_rows(xcols[1:], code.hx.shape[0]).T
-    hz = gf2._unpack_rows(zcols[1:], code.hz.shape[0]).T
-    return CssCode(hx, hz)
+    rows = code._rows or (code.hx.shape[0], code.hz.shape[0])
+    return CssCode(gf2._unpack_rows(xcols[1:], rows[0]).T, gf2._unpack_rows(zcols[1:], rows[1]).T)
 
 
 def apply_cnot(code: CssCode, gate) -> CssCode:

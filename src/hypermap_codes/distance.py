@@ -173,18 +173,18 @@ def _sector_min_weight(stab, rank: int, reducer) -> int:
 _default_kernel = _sector_min_weight
 
 
-def distance_split(code, bases=None) -> tuple[int, int]:
+def distance_split(code) -> tuple[int, int]:
     """``(dx, dz)`` for a code with logical operators in both sectors.
 
-    ``bases`` is ``(gf2.row_basis(code.hx), gf2.row_basis(code.hz))`` when
-    the caller already has it; otherwise it is computed here.
+    The size guard reads ``code.n``, before a column-built code fills a
+    matrix; each matrix is then eliminated once (``gf2.row_basis``).
     """
-    n = code.hx.shape[1]
+    n = code.n
     if n > MAX_ORACLE_QUBITS:
         raise CodeTooLargeError(
             f"{n} qubits exceed the n <= {MAX_ORACLE_QUBITS} brute-force guard"
         )
-    bx, bz = bases or (gf2.row_basis(code.hx), gf2.row_basis(code.hz))
+    bx, bz = gf2.row_basis(code.hx), gf2.row_basis(code.hz)
     if n - len(bx[0]) - len(bz[0]) == 0:
         raise NoLogicalOperatorError("code has no logical operators (k = 0)")
     dz = _default_kernel(code.hx, len(bx[0]), bz)
@@ -213,7 +213,7 @@ def distance_exhaustive(code) -> int:
     reducer; that core's independent reference is the column loop of
     ``tests/util.py``, which ``tests/test_gf2_core.py`` cross-checks it against.
     """
-    n = code.hx.shape[1]
+    n = code.n
     if n > MAX_EXHAUSTIVE_QUBITS:
         raise CodeTooLargeError(
             f"{n} qubits exceed the n <= {MAX_EXHAUSTIVE_QUBITS} exhaustion guard"

@@ -1,12 +1,24 @@
 import json
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hypermap_codes import build_canonical, chain, cli, gf2, load_hypermap, transform
+from hypermap_codes import (
+    build_canonical,
+    chain,
+    cli,
+    css,
+    gf2,
+    graph_to_hypermap,
+    load_hypermap,
+    save_hypermap,
+    toric_rotation_graph,
+    transform,
+)
 from hypermap_codes.cli import main
-from util import FIXTURES
+from util import FIXTURES, random_cycle_hypermap, random_invertible, random_sparse_invertible
 
 TORUS = str(FIXTURES / "torus_hypermap.json")
 TORUS_T = str(FIXTURES / "torus_basis_change.txt")
@@ -326,6 +338,87 @@ def test_out_of_memory_is_one_line_and_exit_2(monkeypatch, capsys, message, line
     assert capsys.readouterr() == ("", line + "\n")
 
 
+def fill_fails(rows, a, b):
+    raise MemoryError()
+
+
+def test_distance_guard_acts_before_any_matrix(tmp_path, monkeypatch, capsys):
+    # k comes from the components and the guard reads n, so toric 8x8
+    # (n = 128) is refused without filling hx or hz.
+    path = tmp_path / "toric8.json"
+    save_hypermap(path, *graph_to_hypermap(toric_rotation_graph(8, 8)))
+    monkeypatch.setattr(chain, "_toggle_columns", fill_fails)
+    assert main(["build", str(path), "--distance"]) == 2
+    assert capsys.readouterr() == ("", "error: 128 qubits exceed the n <= 24 brute-force guard\n")
+
+
+TORUS_NONCANONICAL = (
+    "Hx\n2 6\n1 0 1 1 1 1\n1 0 1 1 1 1\n"
+    "Hz\n4 6\n1 0 0 1 1 1\n1 1 0 0 0 1\n0 1 1 1 0 0\n0 0 1 0 1 0\n"
+)
+
+
+def test_build_basis_change_never_fills_the_canonical_code(tmp_path, monkeypatch, capsys):
+    # The gate loop starts from the canonical code's column arrays.
+    out = tmp_path / "non.txt"
+    monkeypatch.setattr(chain, "_toggle_columns", fill_fails)
+    assert main(["build", TORUS, "--basis-change", TORUS_T, "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"n=6 k=2\nwrote={out}\n", "")
+    assert out.read_text() == TORUS_NONCANONICAL
+
+
+@pytest.mark.parametrize("length", [3, 4])
+def test_build_prints_the_k_of_the_code_it_writes(tmp_path, capsys, length):
+    # k is taken from the canonical code before the basis change and --reduce;
+    # it must be the rank count of the block read back from the file.
+    rng = random.Random(40 + length)
+    hpath, tpath, out = tmp_path / "h.json", tmp_path / "T.txt", tmp_path / "out.txt"
+    for trial in range(8):
+        H = random_cycle_hypermap(rng, rng.randint(4, 16), length)
+        save_hypermap(hpath, H)
+        n = build_canonical(H).n
+        gf2.write_matrix(tpath, random_invertible(rng, n) if trial % 2 else random_sparse_invertible(rng, n, 3 * n))
+        argv = ["build", str(hpath), "--basis-change", str(tpath), "--out", str(out)]
+        assert main(argv + ["--reduce"] * (trial // 2 % 2)) == 0
+        k = int(capsys.readouterr().out.split()[1].removeprefix("k="))
+        code = css.read_stabilizer(out)
+        assert k == code.n - gf2.rank(code.hx) - gf2.rank(code.hz)
+
+
+F = "f.json"
+ARGV_SHAPES = [
+    [],
+    ["-h"],
+    ["nope"],
+    ["verify"],
+    ["verify", F, "--bogus"],
+    ["build", F, "--out"],
+    ["build", "-h"],
+    ["distance", "a", "b"],
+    ["build", F, "--basis", "T.txt"],
+    ["build", F, "--out=o", "--reduce"],
+    ["verify", "--", F],
+    ["--", "verify", F],
+    ["build", F, "--he"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_SHAPES, ids=lambda argv: " ".join(argv) or "empty")
+def test_argv_dispatch_matches_full_parser(capsys, argv):
+    # main parses argv with the named subcommand's parser; every outcome must
+    # be the full parser's: exit code, both streams and the namespace.
+    def outcome(parse):
+        try:
+            result = vars(parse(argv))
+            result.pop("command", None)
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    full = outcome(cli.build_parser().parse_args)
+    assert outcome(main if isinstance(full[0], int) else cli._parse_args) == full
+
+
 def test_decompose_identity(tmp_path, capsys):
     path = tmp_path / "T.txt"
     gf2.write_matrix(path, gf2.identity(4))
@@ -421,8 +514,9 @@ def test_row_space_diff_eliminates_each_side_once(monkeypatch, capsys):
 
 
 def test_build_distance_eliminates_each_sector_once(monkeypatch, capsys):
-    # k and the oracle's reducers share one elimination of hx and of hz; the
-    # third elimination is one sector's kernel basis.
+    # k comes from the components; the oracle eliminates hx and hz once each
+    # for its ranks and reducers, and the third elimination is one sector's
+    # kernel basis.
     forward, rows = gf2._forward, []
     monkeypatch.setattr(gf2, "_forward", lambda packed: rows.append(len(packed)) or forward(packed))
     assert main(["build", TORUS, "--distance"]) == 0
