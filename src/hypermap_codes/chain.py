@@ -46,6 +46,7 @@ re-expresses the pair in another basis of the quotient space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def dart_vertex_sum(H: Hypermap, dart: int) -> np.ndarray:
 def _nonspecial(n_darts: int, S: tuple[int, ...]) -> np.ndarray:
     """0-based darts not in ``S``, ascending: the column order of the canonical code."""
     special = np.zeros(n_darts + 1, dtype=bool)
-    special[list(S)] = True
+    special[list(map(index, S))] = True
     return (~special[1:]).nonzero()[0]
 
 

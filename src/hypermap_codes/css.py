@@ -25,12 +25,11 @@ decomposition to the gate loop of :func:`transform`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import gf2
-from ._jsonfmt import write_text
+from ._jsonfmt import read_text, write_text
 from .chain import CssCode, apply_basis_change, boundary_pair
 from .hypermap import Hypermap, choose_special_darts, components
 
@@ -233,7 +232,7 @@ def parse_stabilizer(text: str) -> CssCode:
 
 
 def read_stabilizer(path) -> CssCode:
-    return parse_stabilizer(Path(path).read_text())
+    return parse_stabilizer(read_text(path))
 
 
 def write_stabilizer(path, code: CssCode) -> None:

@@ -27,11 +27,9 @@ any other layout token by token.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from ._jsonfmt import write_text
+from ._jsonfmt import read_text, write_text
 
 
 class SingularMatrixError(ValueError):
@@ -404,7 +402,7 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def read_matrix(path) -> np.ndarray:
-    return parse_matrix(Path(path).read_text())
+    return parse_matrix(read_text(path))
 
 
 def write_matrix(path, M) -> None:

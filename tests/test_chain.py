@@ -23,6 +23,7 @@ from hypermap_codes import (
 from hypermap_codes import chain, css, gf2
 from hypermap_codes.hypermap import components
 from util import (
+    random_cycle_hypermap,
     random_hypermap,
     random_invertible,
     random_special_darts,
@@ -282,6 +283,38 @@ def test_params_ranks_column_built_codes_by_components(monkeypatch):
         assert "hx" not in vars(code) and "hz" not in vars(code)
         checked += 1
     assert checked > 200
+
+
+def test_canonical_code_has_one_component_in_each_sector():
+    # The hx graph (vertices, one edge per nonspecial dart) and the hz graph
+    # (faces) of every canonical code are connected, whatever the special
+    # darts, so its ranks are V - 1 and F - 1 and k = 2g.
+    rng = random.Random(251)
+    hypermaps = [torus_hypermap()[0]]
+    hypermaps += [graph_to_hypermap(toric_rotation_graph(L, L))[0] for L in range(2, 9)]
+    hypermaps += [random_cycle_hypermap(rng, rng.randint(1, 6), length) for length in (3, 4) for _ in range(20)]
+    for H in hypermaps:
+        for S in (choose_special_darts(H), random_special_darts(rng, H)):
+            code = boundary_pair(H, S)
+            assert [components(rows, *ends)[0] for rows, ends in zip(code._rows, code._columns)] == [1, 1]
+            assert css.params(code).k == 2 * H.genus()
+
+
+def test_special_dart_labels_go_through_index():
+    # Numpy integers and booleans name the same darts as ints, as
+    # check_special_darts reads them; a float is refused with its error.
+    H, S = torus_hypermap()
+    expected = boundary_pair(H, S)
+    for labels in (np.array(S), [np.int32(3), np.int64(7)]):
+        code = boundary_pair(H, labels)
+        assert (code.hx.tolist(), code.hz.tolist()) == (expected.hx.tolist(), expected.hz.tolist())
+    H1 = Hypermap.from_cycles(3, [[1, 2, 3]], [[1, 2, 3]])
+    assert boundary_pair(H1, (True,)).hx.tolist() == boundary_pair(H1, (1,)).hx.tolist()
+    assert nonspecial_darts(H1, (True,)) == nonspecial_darts(H1, (1,)) == (2, 3)
+    graphs = [hypermap_codes.surface.surface_graph_to_json(hypermap_to_surface(H1, S1)) for S1 in ((True,), (1,))]
+    assert graphs[0] == graphs[1]
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        boundary_pair(H, (3.0, 7))
 
 
 def test_params_ranks_dense_codes_by_elimination(monkeypatch):

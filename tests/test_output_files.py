@@ -138,20 +138,25 @@ def test_cli_unwritable_output_exits_2_with_one_line(tmp_path, capsys, command, 
 
 
 def test_rewrite_cuts_only_a_longer_file(tmp_path, monkeypatch):
-    # A file of the text's length is left uncut: no truncate call.
+    # A file of the text's length is left uncut: no ftruncate call.
     truncated = []
-
-    def counting_open(*args, **kwargs):
-        fh = open(*args, **kwargs)
-        truncate = fh.truncate
-        fh.truncate = lambda *size: truncated.append(size) or truncate(*size)
-        return fh
-
-    monkeypatch.setattr(_jsonfmt, "open", counting_open, raising=False)
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, size: truncated.append(size) or ftruncate(fd, size))
     path = tmp_path / "out"
     for text, cuts in [("abcdef\n", 0), ("uvwxyz\n", 0), ("ab\n", 1), ("ab\n", 1), ("longer text\n", 1)]:
         _jsonfmt.write_text(path, text)
         assert (path.read_text(), len(truncated)) == (text, cuts)
+
+
+def test_short_writes_are_finished(tmp_path, monkeypatch):
+    # A write that takes only part of the bytes is followed by one for the rest.
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:3]))
+    path = tmp_path / "out"
+    path.write_bytes(OLD_TAIL)
+    text = css.format_stabilizer(css.build_canonical(*torus_hypermap()))
+    _jsonfmt.write_text(path, text)
+    assert path.read_bytes() == text.encode()
 
 
 def test_build_out_to_a_fifo(tmp_path, capsys):
