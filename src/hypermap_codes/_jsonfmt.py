@@ -43,7 +43,7 @@ def read_json(path):
     try:
         return json.loads(text)
     except RecursionError:
-        raise ValueError(f"JSON in {path} is nested too deeply") from None
+        raise ValueError("JSON is nested too deeply") from None
 
 
 def write_text(path, text: str) -> None:

@@ -34,8 +34,11 @@ check (``_check_pairing``) without building either matrix.  A code built
 this way keeps the arrays and builds neither matrix until one is read:
 :func:`~hypermap_codes.css.params` ranks it on the arrays, since a matrix
 whose every column toggles two rows is the incidence matrix of a graph,
-of rank ``rows - connected components`` over GF(2).  A code given as
-dense matrices (a transformed code, a file) is checked by one
+of rank ``rows - connected components`` over GF(2).  Both graphs of a
+canonical code are connected, since the hypermap is, so
+:func:`boundary_pair` gives the code its counts ``(1, 1)`` and no
+union-find pass ranks it.  A code given as dense matrices (a transformed
+code, a file) is checked by one
 :func:`~hypermap_codes.gf2.mul` product instead, and ranked by
 elimination.  The per-face and per-dart helpers (:func:`face_dart_sum`,
 :func:`project_nonspecial`, :func:`dart_vertex_sum`) compute the same rows
@@ -149,13 +152,15 @@ class CssCode:
     column index arrays, which the code then keeps as ``_columns``, with
     its row counts as ``_rows``.  A column-built code fills each of ``hx``
     and ``hz`` the first time it is read (:meth:`__getattr__`); until then
-    it holds only the arrays.
+    it holds only the arrays.  A canonical code (:func:`boundary_pair`) also
+    carries the component counts of its two column graphs as ``_components``.
     """
 
     hx: np.ndarray
     hz: np.ndarray
-    # Set by from_columns on the code it builds; None for a dense-built code.
-    _rows = _columns = None
+    # Set by from_columns (rows, columns) and boundary_pair (components) on
+    # the code they build; None otherwise.
+    _rows = _columns = _components = None
 
     def __post_init__(self):
         hx = gf2.as_matrix(self.hx).copy()
@@ -204,10 +209,10 @@ class CssCode:
         return self.hx.shape[1] if self._columns is None else self._columns[0].shape[1]
 
 
-def _canonical_columns(H: Hypermap, S: tuple[int, ...]) -> tuple[int, np.ndarray, int, np.ndarray]:
-    """``(x_rows, x_ends, z_rows, z_ends)`` of the canonical code, not yet checked.
+def _canonical_columns(H: Hypermap, S: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, np.ndarray, int, np.ndarray]]:
+    """The nonspecial darts (0-based, ascending) and ``(x_rows, x_ends, z_rows, z_ends)``, not yet checked.
 
-    These are the arguments of :meth:`CssCode.from_columns`: column ``k``,
+    The four are the canonical code's arguments of :meth:`CssCode.from_columns`: column ``k``,
     nonspecial dart ``d``, toggles the vertices of ``d`` and ``tau^-1(d)``
     and the faces of ``d`` and of its hyperedge's special dart.
     """
@@ -219,7 +224,7 @@ def _canonical_columns(H: Hypermap, S: tuple[int, ...]) -> tuple[int, np.ndarray
     special_of_edge = np.empty(len(edges), dtype=np.intp)
     special_of_edge[edge[special]] = special
     darts = _nonspecial(H.n_darts, S)
-    return (
+    return darts, (
         len(vertices),
         np.array((vertex[darts], vertex[tau_inv[darts]])),
         len(faces),
@@ -233,9 +238,13 @@ def boundary_pair(H: Hypermap, S: tuple[int, ...]) -> CssCode:
     ``hx`` is the vertex boundary ``p1`` and ``hz`` the face boundary
     ``p2``; columns follow :func:`nonspecial_darts`.  The code is built, and
     its chain condition checked, from its column arrays
-    (:meth:`CssCode.from_columns`).
+    (:meth:`CssCode.from_columns`).  Both of its column graphs are
+    connected, since ``H`` is (:func:`~hypermap_codes.css.params`), so it
+    carries the component counts ``(1, 1)``.
     """
-    return CssCode.from_columns(*_canonical_columns(H, S))
+    code = CssCode.from_columns(*_canonical_columns(H, S)[1])
+    object.__setattr__(code, "_components", (1, 1))
+    return code
 
 
 def apply_basis_change(code: CssCode, T) -> CssCode:

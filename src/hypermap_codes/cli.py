@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 when a semantically valid input fails a
 verification (``compare`` of unequal stabilizers), 2 on malformed or
 invalid input or an allocation that fails (``MemoryError``, one
-``error:`` line), 141 (128 + SIGPIPE, nothing on stderr) when the reader of a
-pipe it writes to has gone, as after ``| head -n 1``.  Reports are
+``error:`` line, which names the input file when its contents are at
+fault), 141 (128 + SIGPIPE, nothing on stderr) when the reader of a pipe
+it writes to has gone, as after ``| head -n 1``.  Reports are
 line-oriented ``key=value`` where machine-readable, flushed before each
 output file is written, so ``--out /dev/stdout`` keeps their order.
 """
@@ -31,8 +32,19 @@ def _parse_dart_list(text: str) -> list[int]:
     return [int(tok) for tok in tokens if tok]
 
 
+def _read(reader, path):
+    """``reader(path)``; an error about the file's contents names ``path`` first.
+
+    An ``OSError`` names the path itself and passes through as it is.
+    """
+    try:
+        return reader(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_hypermap_and_special(path, special_flag) -> tuple[Hypermap, tuple[int, ...]]:
-    H, special = load_hypermap(path)
+    H, special = _read(load_hypermap, path)
     if special_flag is not None:
         special = given_special_darts(H, _parse_dart_list(special_flag))
     elif special is None:
@@ -91,7 +103,7 @@ def cmd_build(args) -> int:
     code = css.build_canonical(H, special)
     k = css.params(code).k
     if args.basis_change is not None:
-        code = css.transform(code, gf2.read_matrix(args.basis_change))
+        code = css.transform(code, _read(gf2.read_matrix, args.basis_change))
     if args.reduce:
         code = css.reduced(code)
     line = f"n={code.n} k={k}"
@@ -121,7 +133,7 @@ def cmd_to_surface(args) -> int:
 
 
 def cmd_from_graph(args) -> int:
-    G = surface.load_rotation_graph(args.graph)
+    G = _read(surface.load_rotation_graph, args.graph)
     H, special = surface.graph_to_hypermap(G)
     v, e, f, w = H.counts()
     print(f"V={v} E={e} F={f} W={w} genus={H.genus()}")
@@ -145,7 +157,7 @@ def _print_row_space_diff(a: css.CssCode, b: css.CssCode) -> None:
 
 
 def cmd_decompose(args) -> int:
-    T = gf2.read_matrix(args.matrix)
+    T = _read(gf2.read_matrix, args.matrix)
     circuit = css.cnot_circuit(T)
     sys.stdout.write("".join(f"CNOT {c} {t}\n" for c, t in circuit.gates.tolist()))
     print(f"gates={len(circuit)} bound={circuit.n * circuit.n}")
@@ -153,13 +165,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    print(_distance_fields(css.read_stabilizer(args.stabilizer)))
+    print(_distance_fields(_read(css.read_stabilizer, args.stabilizer)))
     return 0
 
 
 def cmd_compare(args) -> int:
-    a = css.read_stabilizer(args.stabilizer_a)
-    b = css.read_stabilizer(args.stabilizer_b)
+    a = _read(css.read_stabilizer, args.stabilizer_a)
+    b = _read(css.read_stabilizer, args.stabilizer_b)
     equal = css.stabilizer_equal(a, b)
     print(f"equal={'true' if equal else 'false'}")
     if equal:

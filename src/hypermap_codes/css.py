@@ -6,8 +6,9 @@ in :mod:`~hypermap_codes.chain`, whose :func:`boundary_pair` returns the
 canonical code, and is re-exported here.  Dependent rows are kept, since
 the row spaces are what define the code; :func:`reduced` drops them for
 display.  :func:`params` gives ``n`` and ``k`` only, ranking a column-built
-code by the connected components of its column graphs and a dense one by
-elimination; the distance comes from
+code by the connected components of its column graphs (one each for a
+canonical code, which carries them) and a dense one by elimination; the
+distance comes from
 :func:`~hypermap_codes.distance.distance_split`, and row-space equality from
 the echelon bases of :func:`~hypermap_codes.gf2.row_basis`.
 
@@ -106,13 +107,30 @@ def params(code: CssCode) -> CodeParams:
     is the incidence matrix of a graph on its rows (a loop is a zero
     column), and over GF(2) its rank is ``rows - components``.  The rows of
     a component sum to zero, and the edges of a spanning forest are
-    independent.  The same holds for ``hz``.  A code given as dense
+    independent.  The same holds for ``hz``.
+
+    A canonical code (:func:`~hypermap_codes.chain.boundary_pair`) carries
+    its counts, ``(1, 1)``, and is ranked with no union-find pass.  Its
+    ``hx`` graph is the vertex graph of the connected hypermap minus one
+    edge of each hyperedge's closed walk: the darts of a hyperedge join its
+    vertices round a closed walk, and dropping the special dart's edge
+    leaves a path through the same vertices.  Its ``hz`` graph is the face
+    graph of a connected surface: faces (orbits of ``sigma * tau^-1``) and
+    hyperedges (orbits of ``tau``) generate the same transitive group, and
+    each hyperedge joins the faces of its darts to the face of its special
+    dart.  So both graphs are connected for any ``S``, the ranks are
+    ``V - 1`` and ``F - 1``, and with ``n = W - E`` Euler's formula
+    ``V + E + F - W = 2 - 2g`` gives ``k = 2g``.  Any other column-built
+    code, such as the :func:`~hypermap_codes.surface.surface_code` of a
+    rotation graph, which may be disconnected, counts its components with
+    :func:`~hypermap_codes.hypermap.components`.  A code given as dense
     matrices is ranked by :func:`~hypermap_codes.gf2.rank`.
     """
     if code._columns is None:
         ranks = gf2.rank(code.hx) + gf2.rank(code.hz)
     else:
-        ranks = sum(rows - components(rows, *ends)[0] for rows, ends in zip(code._rows, code._columns))
+        counts = code._components or [components(rows, *ends)[0] for rows, ends in zip(code._rows, code._columns)]
+        ranks = sum(code._rows) - sum(counts)
     return CodeParams(n=code.n, k=code.n - ranks)
 
 

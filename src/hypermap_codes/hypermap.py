@@ -10,23 +10,27 @@ labels themselves are always 1-based.
 
 Construction validates everything: permutations must be bijections and the
 group generated by ``sigma`` and ``tau`` must act transitively on the darts
-(a connected hypermap; :func:`components` checks it on the vertices).
-Invalid data cannot be represented.  A special-dart choice, one dart per
-hyperedge, is a plain tuple of labels (:func:`check_special_darts`,
-:func:`given_special_darts`).
+(a connected hypermap; :func:`components` checks it on the vertices).  That
+check is the one union-find pass of ``verify`` and ``build``: it is what
+makes both column graphs of every canonical code connected
+(:func:`~hypermap_codes.css.params`).  Invalid data cannot be represented.
+A special-dart choice, one dart per hyperedge, is a plain tuple of labels
+(:func:`check_special_darts`, :func:`given_special_darts`).
 
 Both classes are frozen, so derived structure is computed at most once per
 object, on first use: a :class:`Permutation` keeps its orbit partition and
 its inverse, and a :class:`Hypermap` keeps ``sigma * tau^-1``, whose orbit
 partition the face permutation in turn keeps.  The work is done on numpy
 index arrays: each permutation keeps one read-only 0-based image array
-(:attr:`Permutation.array`), and each :class:`OrbitPartition` one dart-to-orbit
+(:attr:`Permutation.array`), its only stored form unless it was given as an
+image tuple, and each :class:`OrbitPartition` one dart-to-orbit
 label array, found by pointer doubling.  Cycle labels are read once, through
 :func:`operator.index` into one ``intp`` array, and range- and repeat-checked
 on it; a label that is not an integer or lies past int64 sends the reader to
 a scan of the cycles that names the first bad entry, so a huge label is an
 error, not an overflow.
-The cycle-ordered orbit tuples are built only when something reads them.
+The image tuples of derived permutations and the cycle-ordered orbit tuples
+are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -141,23 +145,41 @@ def components(count: int, a: np.ndarray, b: np.ndarray) -> tuple[int, list[int]
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of ``{1..n}`` stored by its image tuple."""
+    """A permutation of ``{1..n}``, given by its tuple of 1-based images.
+
+    ``array`` is the read-only 0-based image array, ``array[d - 1] ==
+    self(d) - 1``.  ``Permutation(image)`` checks the tuple it is given and
+    builds the array.  A permutation the package derives
+    (:meth:`from_cycles`, :meth:`inverse`, ``*``) holds only the array and
+    builds ``image`` the first time it is read (:meth:`__getattr__`), as
+    calls, equality, hashing and ``repr`` do.
+    """
 
     image: tuple[int, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         image = tuple(map(index, self.image))
         object.__setattr__(self, "image", image)
         if sorted(image) != list(range(1, len(image) + 1)):
             raise NotBijectiveError(f"images {image} are not a bijection on 1..{len(image)}")
+        object.__setattr__(self, "array", _readonly(np.array(image, dtype=np.intp) - 1))
 
     @classmethod
     def _of_array(cls, array: np.ndarray) -> "Permutation":
         """The permutation whose 0-based image array is ``array``, a known bijection."""
         p = cls.__new__(cls)
-        object.__setattr__(p, "image", tuple((array + 1).tolist()))
-        object.__setattr__(p, "_array", _readonly(array))
+        object.__setattr__(p, "array", _readonly(array))
         return p
+
+    def __getattr__(self, name: str):
+        # Reached only when ``name`` is not set: ``image`` of a permutation
+        # built from its array that has not been read yet.
+        if name != "image":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        image = tuple((self.array + 1).tolist())
+        object.__setattr__(self, "image", image)
+        return image
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -198,12 +220,7 @@ class Permutation:
 
     @property
     def n(self) -> int:
-        return len(self.image)
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only 0-based image array: ``array[d - 1] == self(d) - 1``."""
-        return _cached(self, "_array", lambda: _readonly(np.array(self.image, dtype=np.intp) - 1))
+        return self.array.size
 
     def __call__(self, dart: int) -> int:
         if not 1 <= dart <= self.n:

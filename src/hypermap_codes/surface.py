@@ -19,8 +19,10 @@ checks the chain condition on those arrays by pairing supports and builds
 no matrix.  The surface code of that graph is the canonical code, column
 for column, so :func:`verify_equivalence` builds no graph: it builds and
 checks the canonical code once (:func:`~hypermap_codes.chain.boundary_pair`)
-and returns it with its parameters, ranked on the column arrays.  :func:`surface_code` builds the code
-of any graph from its columns, checked by the same support pairing.
+and returns it with its parameters, ranked by the component counts it
+carries.  :func:`surface_code` builds the code of any graph from its
+columns, checked by the same support pairing, and ranked by counting
+components.
 :func:`intermediate_surface` materializes the pre-merge stage (all darts
 kept as edges, hyperedges as extra faces) for DOT export and debugging.
 """
@@ -34,7 +36,7 @@ from operator import index
 import numpy as np
 
 from ._jsonfmt import compact_json, read_json, write_text
-from .chain import _canonical_columns, _check_pairing, _nonspecial, boundary_pair
+from .chain import _canonical_columns, _check_pairing, boundary_pair
 from .css import CodeParams, CssCode, params
 from .hypermap import Hypermap, NotConnectedError, Permutation, _cached, _json_fields, _readonly, choose_special_darts
 
@@ -188,9 +190,9 @@ def hypermap_to_surface(H: Hypermap, S: tuple[int, ...] | None = None) -> Surfac
     """
     if S is None:
         S = choose_special_darts(H)
-    vertex_count, ends, face_count, sides = _canonical_columns(H, S)
+    darts, (vertex_count, ends, face_count, sides) = _canonical_columns(H, S)
     _check_pairing(ends, face_count, sides)
-    return SurfaceGraph(vertex_count, face_count, _nonspecial(H.n_darts, S) + 1, ends, sides)
+    return SurfaceGraph(vertex_count, face_count, darts + 1, ends, sides)
 
 
 def intermediate_surface(H: Hypermap) -> SurfaceGraph:
@@ -231,9 +233,10 @@ def verify_equivalence(H: Hypermap, S: tuple[int, ...] | None = None) -> tuple[C
 
     The code is built from its column arrays and its chain condition checked
     once, by pairing supports (:func:`~hypermap_codes.chain.boundary_pair`);
-    a failed check raises ``ValueError``.  Its ranks are connected-component
-    counts on the same arrays (:func:`~hypermap_codes.css.params`), so
-    neither dense matrix is built.  The equivalent surface graph
+    a failed check raises ``ValueError``.  Its ranks come from the
+    component counts ``(1, 1)`` it carries
+    (:func:`~hypermap_codes.css.params`), so neither dense matrix is built
+    and no union-find pass is made.  The equivalent surface graph
     (:func:`hypermap_to_surface`) is those same arrays, so its code is this
     one, bit for bit.  The tests cross-check the theorem independently:
     against entry-by-entry builds (``reference_surface_code``,

@@ -29,6 +29,7 @@ from hypermap_codes import (
     verify_equivalence,
 )
 from hypermap_codes import gf2
+from hypermap_codes.hypermap import components
 from util import (
     random_css_code,
     random_hypermap,
@@ -82,20 +83,29 @@ def test_criterion_1_worked_example_stabilizer():
         assert np.array_equal(conventional_face_rows(H, code.hz), CONVENTIONAL_HZ_ROWS)
 
 
+def component_k(code):
+    """``k`` of a column-built code, its column graphs' components counted afresh."""
+    return code.n - sum(rows - components(rows, *ends)[0] for rows, ends in zip(code._rows, code._columns))
+
+
 def test_criterion_2_parameter_law():
-    # Three independent counts of k: params ranks the canonical code by the
-    # connected components of its column graphs, gf2.rank eliminates the
-    # dense matrices, and the genus comes from the orbit counts.
+    # params takes the canonical code's ranks from the component counts
+    # (1, 1) it carries, by the argument in its docstring.  Three independent
+    # counts check it: hypermap.components counts the components of its
+    # column graphs, gf2.rank eliminates the dense matrices, and the genus
+    # comes from the orbit counts.
     with criterion("2 k = n - rank(Hx) - rank(Hz) = 2g", 10.0):
         H, S = torus_hypermap()
         code = build_canonical(H, S)
         p = params(code)
+        assert p.k == component_k(code)
         assert p.k == code.n - gf2.rank(code.hx) - gf2.rank(code.hz) == 2 * H.genus()
         rng = random.Random(101)
         for _ in range(50):
             H = random_hypermap(rng, 2, 20)
             code = build_canonical(H, choose_special_darts(H))
             p = params(code)
+            assert p.k == component_k(code)
             assert p.k == code.n - gf2.rank(code.hx) - gf2.rank(code.hz)
             assert p.k == 2 * H.genus()
 

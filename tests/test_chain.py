@@ -297,6 +297,7 @@ def test_canonical_code_has_one_component_in_each_sector():
         for S in (choose_special_darts(H), random_special_darts(rng, H)):
             code = boundary_pair(H, S)
             assert [components(rows, *ends)[0] for rows, ends in zip(code._rows, code._columns)] == [1, 1]
+            assert code._components == (1, 1)
             assert css.params(code).k == 2 * H.genus()
 
 
@@ -336,7 +337,7 @@ def test_first_read_fills_each_matrix_bit_for_bit():
     cases += [(H, random_special_darts(rng, H)) for H in (random_hypermap(rng, 1, 24) for _ in range(40))]
     for H, S in cases:
         code = boundary_pair(H, S)
-        x_rows, x_ends, z_rows, z_ends = chain._canonical_columns(H, S)
+        _, (x_rows, x_ends, z_rows, z_ends) = chain._canonical_columns(H, S)
         assert "hx" not in vars(code) and "hz" not in vars(code)
         assert code.n == x_ends.shape[1]
         for name, rows, ends in (("hz", z_rows, z_ends), ("hx", x_rows, x_ends)):

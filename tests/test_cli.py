@@ -47,7 +47,10 @@ def test_info_disconnected_exits_2(tmp_path, capsys):
 
 
 def info_error_without_allocating(tmp_path, capsys, data) -> str:
-    """Stderr of ``info`` on ``data``, which must exit 2 with a tracemalloc peak under 1 MiB."""
+    """Stderr of ``info`` on ``data``, which must exit 2 with a tracemalloc peak under 1 MiB.
+
+    The file's path, which leads the error line, is cut from the result.
+    """
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))
     tracemalloc.start()
@@ -59,7 +62,8 @@ def info_error_without_allocating(tmp_path, capsys, data) -> str:
     assert peak < 1 << 20
     captured = capsys.readouterr()
     assert captured.out == ""
-    return captured.err
+    assert captured.err.startswith(f"error: {path}: ")
+    return captured.err.replace(f"{path}: ", "", 1)
 
 
 def test_info_huge_dart_count_exits_2_without_allocating(tmp_path, capsys):
@@ -110,7 +114,7 @@ def test_bad_labels_exit_2_with_one_line(tmp_path, capsys, command, data, messag
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main([command, str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 def test_info_malformed_json_exits_2(tmp_path, capsys):
@@ -125,7 +129,7 @@ def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, command):
     path.write_text("[" * 100000 + "]" * 100000)
     argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "from-graph" else [])
     assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: JSON in {path} is nested too deeply\n")
+    assert capsys.readouterr() == ("", f"error: {path}: JSON is nested too deeply\n")
 
 
 TORUS_SIGMA = [[1, 8, 3, 6], [2, 5, 4, 7]]
@@ -250,7 +254,9 @@ def test_partial_special_list_exits_2(tmp_path, capsys, command, special):
     else:
         argv += ["--special", special]
     assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {len(special)} special darts for 2 hyperedges\n")
+    # A bad list in the file is an error of the file, which the line names.
+    named = f"{path}: " if isinstance(special, list) else ""
+    assert capsys.readouterr() == ("", f"error: {named}{len(special)} special darts for 2 hyperedges\n")
     assert not graph.exists()
 
 
@@ -534,4 +540,4 @@ def test_oversized_matrix_header_exits_2_with_one_line(tmp_path, capsys, command
     path = tmp_path / "big.txt"
     path.write_text(f"{header}\n" if command == "decompose" else f"Hx\n{header}\nHz\n0 3\n")
     assert main([command, str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: matrix dimensions must be at most {2**63 - 1}\n")
+    assert capsys.readouterr() == ("", f"error: {path}: matrix dimensions must be at most {2**63 - 1}\n")

@@ -30,6 +30,29 @@ from util import (
 )
 
 
+def test_derived_permutations_build_their_image_on_first_read():
+    # from_cycles, inverse() and * keep only the array; image, and with it
+    # ==, hash and repr, is derived from it on first read.
+    makers = [
+        lambda: Permutation.from_cycles([[1, 3, 2], [4, 5]], 6),
+        lambda: Permutation.from_cycles([[1, 3, 2], [4, 5]], 6).inverse(),
+        lambda: Permutation.from_cycles([[1, 3, 2]], 6) * Permutation.from_cycles([[2, 6]], 6),
+    ]
+    for make in makers:
+        p = make()
+        assert "image" not in vars(p)
+        assert p.n == 6 and len(p.orbits()) and "image" not in vars(p)
+        image = p.image
+        assert "image" in vars(p) and image == tuple((p.array + 1).tolist())
+        given = Permutation(image)
+        assert p == given and hash(p) == hash(given) and repr(p) == repr(given)
+        for first_read in (lambda q: q == given, lambda q: hash(q) == hash(given), lambda q: q(1) == image[0]):
+            q = make()
+            assert first_read(q) and vars(q)["image"] == image
+        with pytest.raises(AttributeError, match="no attribute 'images'"):
+            make().images
+
+
 def permutations_to_cross_check():
     """Identities, fixed points, random permutations and long cycles.
 

@@ -3,7 +3,8 @@
 It reads as ``open(path).read()`` does: to end of file, in the locale's
 encoding with strict errors, with universal newlines.  The exit codes,
 error lines and stdout below are literals taken from the package when it
-read through ``pathlib.Path.read_text``.
+read through ``pathlib.Path.read_text``, except that an error about a
+file's contents now names the file first, as an ``OSError`` line does.
 """
 
 import os
@@ -40,13 +41,13 @@ COMMANDS = {
     "compare": (["compare", "{stab}", "{input}"], "{stab}", "equal=true\n"),
 }
 
-# The error line for an empty input, which each format rejects in its own words.
+# The error for an empty input, which each format rejects in its own words.
 EMPTY_ERRORS = {
-    "verify": "error: Expecting value: line 1 column 1 (char 0)\n",
-    "from-graph": "error: Expecting value: line 1 column 1 (char 0)\n",
-    "decompose": "error: empty matrix text\n",
-    "distance": "error: missing Hx section\n",
-    "compare": "error: missing Hx section\n",
+    "verify": "Expecting value: line 1 column 1 (char 0)",
+    "from-graph": "Expecting value: line 1 column 1 (char 0)",
+    "decompose": "empty matrix text",
+    "distance": "missing Hx section",
+    "compare": "missing Hx section",
 }
 
 
@@ -82,10 +83,23 @@ def test_bad_input_file_exits_2_with_the_same_line(tmp_path, places, capsys, com
     expected = {
         "missing": f"error: [Errno 2] No such file or directory: '{path}'\n",
         "directory": f"error: [Errno 21] Is a directory: '{path}'\n",
-        "invalid-utf8": "error: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte\n",
-        "empty": EMPTY_ERRORS[command],
+        "invalid-utf8": f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte\n",
+        "empty": f"error: {path}: {EMPTY_ERRORS[command]}\n",
     }[case]
     assert _run(command, str(path), places, capsys) == (2, "", expected)
+
+
+def test_error_names_the_bad_file(tmp_path, places, capsys):
+    # The first of compare's two files, and the basis change that build
+    # reads besides its hypermap.
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"")
+    for argv, message in (
+        (["compare", str(bad), places["stab"]], "missing Hx section"),
+        (["build", TORUS, "--basis-change", str(bad)], "empty matrix text"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

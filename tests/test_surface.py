@@ -30,7 +30,7 @@ from hypermap_codes import (
     toric_rotation_graph,
     verify_equivalence,
 )
-from hypermap_codes import chain, gf2, load_hypermap, save_hypermap, surface
+from hypermap_codes import chain, css, gf2, hypermap, load_hypermap, save_hypermap, surface
 from hypermap_codes.cli import main
 from hypermap_codes.surface import (
     rotation_graph_from_json,
@@ -383,13 +383,62 @@ def test_verify_never_fills_or_eliminates_a_matrix(monkeypatch, capsys, tmp_path
     assert capsys.readouterr().out == "equal=true\nhypermap_code n=128 k=2\nsurface_code n=128 k=2\n"
 
 
+def count_components_calls(monkeypatch) -> list:
+    """Patch ``hypermap.components`` in every module that holds it; each call appends its node count."""
+    calls, original = [], hypermap.components
+
+    def counting(count, a, b):
+        calls.append(count)
+        return original(count, a, b)
+
+    for module in (hypermap, css):
+        assert module.components is original
+        monkeypatch.setattr(module, "components", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["verify", "build"])
+@pytest.mark.parametrize("L", [None, 8], ids=["torus-fixture", "toric-8x8"])
+def test_verify_and_build_make_one_components_pass(monkeypatch, capsys, tmp_path, command, L):
+    # The connectivity check of Hypermap.__post_init__ is the one pass: the
+    # canonical code carries its component counts, so params counts none.
+    path = FIXTURES / "torus_hypermap.json"
+    if L is not None:
+        path = tmp_path / "toric.json"
+        save_hypermap(path, *graph_to_hypermap(toric_rotation_graph(L, L)))
+    calls = count_components_calls(monkeypatch)
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_params_counts_the_components_of_a_disconnected_surface_code(monkeypatch):
+    # One rotation graph holding two disjoint tori (2x2 and 3x3): its
+    # surface code carries no counts, so params counts two components in
+    # each sector, and k = 2 + 2.
+    tori = toric_rotation_graph(2, 2), toric_rotation_graph(3, 3)
+    v, h = tori[0].vertex_count, 2 * len(tori[0].edges)
+    G = RotationGraph(
+        v + tori[1].vertex_count,
+        tori[0].edges + tuple((a + v, b + v) for a, b in tori[1].edges),
+        tori[0].rotation + tuple(tuple(x + h for x in cycle) for cycle in tori[1].rotation),
+    )
+    code = surface_code(rotation_to_surface(G))
+    assert code._components is None
+    calls = count_components_calls(monkeypatch)
+    p = params(code)
+    assert calls == [v + tori[1].vertex_count, code._rows[1]]
+    assert (p.n, p.k) == (8 + 18, 4)
+    assert p.k == code.n - gf2.rank(code.hx) - gf2.rank(code.hz)
+
+
 def test_hypermap_to_surface_keeps_the_pairing_check(monkeypatch):
     # Columns that break the chain condition are refused, as boundary_pair
     # refuses them.
     H, S = graph_to_hypermap(toric_rotation_graph(3, 3))
-    x_rows, x_ends, z_rows, z_ends = chain._canonical_columns(H, S)
+    darts, (x_rows, x_ends, z_rows, z_ends) = chain._canonical_columns(H, S)
     x_ends[1, 0] = (x_ends[1, 0] + 1) % x_rows
-    monkeypatch.setattr(surface, "_canonical_columns", lambda H, S: (x_rows, x_ends, z_rows, z_ends))
+    monkeypatch.setattr(surface, "_canonical_columns", lambda H, S: (darts, (x_rows, x_ends, z_rows, z_ends)))
     with pytest.raises(ValueError, match="not orthogonal"):
         hypermap_to_surface(H, S)
 
@@ -618,8 +667,12 @@ def test_surface_code_checks_by_support_pairing_only(monkeypatch):
 
 def test_hypermap_to_surface_passes_its_columns_through(monkeypatch):
     H, S = graph_to_hypermap(toric_rotation_graph(3, 3))
-    columns = chain._canonical_columns(H, S)
-    monkeypatch.setattr(surface, "_canonical_columns", lambda H, S: columns)
+    labels = list(nonspecial_darts(H, S))
+    darts, columns = chain._canonical_columns(H, S)
+    # The edge labels are the nonspecial darts of the columns, not built again.
+    monkeypatch.setattr(surface, "_canonical_columns", lambda H, S: (darts, columns))
+    monkeypatch.setattr(chain, "_nonspecial", lambda *args: pytest.fail("nonspecial darts built twice"))
     G = hypermap_to_surface(H, S)
     assert G.ends is columns[1] and G.sides is columns[3]
     assert (G.vertex_count, G.face_count) == (columns[0], columns[2])
+    assert G.labels.tolist() == labels
