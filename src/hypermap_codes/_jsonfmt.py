@@ -13,6 +13,7 @@ import json
 import locale
 import os
 import stat
+import sys
 
 
 def read_text(path) -> str:
@@ -38,10 +39,18 @@ def read_text(path) -> str:
 
 
 def read_json(path):
-    """The JSON value in the file at ``path``; nesting too deep to parse is a ``ValueError``."""
+    """The JSON value in the file at ``path``; nesting too deep to parse is a ``ValueError``.
+
+    So is an integer longer than ``int()`` converts
+    (:func:`sys.get_int_max_str_digits`), with a line that does not echo it.
+    """
     text = read_text(path)
     try:
         return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the one other: int() refused a number's digits
+        raise ValueError(f"JSON holds an integer of more than {sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise ValueError("JSON is nested too deeply") from None
 

@@ -37,7 +37,7 @@ whose every column toggles two rows is the incidence matrix of a graph,
 of rank ``rows - connected components`` over GF(2).  Both graphs of a
 canonical code are connected, since the hypermap is, so
 :func:`boundary_pair` gives the code its counts ``(1, 1)`` and no
-union-find pass ranks it.  A code given as dense matrices (a transformed
+components pass ranks it.  A code given as dense matrices (a transformed
 code, a file) is checked by one
 :func:`~hypermap_codes.gf2.mul` product instead, and ranked by
 elimination.  The per-face and per-dart helpers (:func:`face_dart_sum`,
@@ -49,12 +49,11 @@ re-expresses the pair in another basis of the quotient space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 
 from . import gf2
-from .hypermap import Hypermap, _readonly, check_special_darts
+from .hypermap import Hypermap, _claim_hyperedges, _readonly
 
 
 def face_dart_sum(H: Hypermap, face: int) -> np.ndarray:
@@ -79,16 +78,20 @@ def dart_vertex_sum(H: Hypermap, dart: int) -> np.ndarray:
     return out
 
 
-def _nonspecial(n_darts: int, S: tuple[int, ...]) -> np.ndarray:
-    """0-based darts not in ``S``, ascending: the column order of the canonical code."""
-    special = np.zeros(n_darts + 1, dtype=bool)
-    special[list(map(index, S))] = True
-    return (~special[1:]).nonzero()[0]
+def _nonspecial(n_darts: int, special: np.ndarray) -> np.ndarray:
+    """0-based darts not in ``special`` (0-based), ascending: the column order of the canonical code."""
+    nonspecial = np.ones(n_darts, dtype=bool)
+    nonspecial[special] = False
+    return nonspecial.nonzero()[0]
 
 
 def nonspecial_darts(H: Hypermap, S: tuple[int, ...]) -> tuple[int, ...]:
-    """All darts not in ``S``, ascending; the special coordinate basis."""
-    return tuple((_nonspecial(H.n_darts, S) + 1).tolist())
+    """All darts not in ``S``, ascending; the special coordinate basis.
+
+    ``S`` is checked as :func:`~hypermap_codes.hypermap.check_special_darts` checks it.
+    """
+    special = _claim_hyperedges(H.hyperedges(), S, exact=True)[0]
+    return tuple((_nonspecial(H.n_darts, special) + 1).tolist())
 
 
 def project_nonspecial(H: Hypermap, S: tuple[int, ...], x) -> np.ndarray:
@@ -216,14 +219,14 @@ def _canonical_columns(H: Hypermap, S: tuple[int, ...]) -> tuple[np.ndarray, tup
     nonspecial dart ``d``, toggles the vertices of ``d`` and ``tau^-1(d)``
     and the faces of ``d`` and of its hyperedge's special dart.
     """
-    S = check_special_darts(H, S)
     vertices, edges, faces = H.vertices(), H.hyperedges(), H.faces()
+    special, special_edge = _claim_hyperedges(edges, S, exact=True)
     vertex, edge, face = vertices.array, edges.array, faces.array
     tau_inv = H.tau.inverse().array
-    special = np.array(S, dtype=np.intp) - 1
     special_of_edge = np.empty(len(edges), dtype=np.intp)
-    special_of_edge[edge[special]] = special
-    darts = _nonspecial(H.n_darts, S)
+    special_of_edge[special_edge] = special
+    darts = _nonspecial(H.n_darts, special)
+    del special, special_edge  # not held while the columns are built: 8 MiB at a million darts
     return darts, (
         len(vertices),
         np.array((vertex[darts], vertex[tau_inv[darts]])),

@@ -25,10 +25,16 @@ from .hypermap import Hypermap, choose_special_darts, given_special_darts, load_
 
 
 def _parse_dart_list(text: str) -> list[int]:
-    """Comma-separated dart labels; each must be an ASCII digit string once stripped."""
+    """Comma-separated dart labels; each must be an ASCII digit string once stripped.
+
+    A label's digits are bounded before ``int()``, which refuses more than
+    :func:`sys.get_int_max_str_digits` (0 for no limit).
+    """
     tokens = [tok.strip() for tok in text.split(",")]
     if not all(tok.isascii() and tok.isdigit() for tok in tokens if tok):
         raise ValueError(f"bad dart list {text!r}, expected comma-separated labels")
+    if 0 < (limit := sys.get_int_max_str_digits()) < max(map(len, tokens)):
+        raise ValueError(f"dart list holds a label of more than {limit} digits")
     return [int(tok) for tok in tokens if tok]
 
 

@@ -110,7 +110,7 @@ def params(code: CssCode) -> CodeParams:
     independent.  The same holds for ``hz``.
 
     A canonical code (:func:`~hypermap_codes.chain.boundary_pair`) carries
-    its counts, ``(1, 1)``, and is ranked with no union-find pass.  Its
+    its counts, ``(1, 1)``, and is ranked with no components pass.  Its
     ``hx`` graph is the vertex graph of the connected hypermap minus one
     edge of each hyperedge's closed walk: the darts of a hyperedge join its
     vertices round a closed walk, and dropping the special dart's edge
@@ -123,7 +123,8 @@ def params(code: CssCode) -> CodeParams:
     ``V + E + F - W = 2 - 2g`` gives ``k = 2g``.  Any other column-built
     code, such as the :func:`~hypermap_codes.surface.surface_code` of a
     rotation graph, which may be disconnected, counts its components with
-    :func:`~hypermap_codes.hypermap.components`.  A code given as dense
+    :func:`~hypermap_codes.hypermap.components`, the routine that checks a
+    hypermap's connectivity.  A code given as dense
     matrices is ranked by :func:`~hypermap_codes.gf2.rank`.
     """
     if code._columns is None:

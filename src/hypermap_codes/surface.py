@@ -236,7 +236,7 @@ def verify_equivalence(H: Hypermap, S: tuple[int, ...] | None = None) -> tuple[C
     a failed check raises ``ValueError``.  Its ranks come from the
     component counts ``(1, 1)`` it carries
     (:func:`~hypermap_codes.css.params`), so neither dense matrix is built
-    and no union-find pass is made.  The equivalent surface graph
+    and no components pass is made.  The equivalent surface graph
     (:func:`hypermap_to_surface`) is those same arrays, so its code is this
     one, bit for bit.  The tests cross-check the theorem independently:
     against entry-by-entry builds (``reference_surface_code``,

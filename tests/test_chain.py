@@ -316,6 +316,9 @@ def test_special_dart_labels_go_through_index():
     assert graphs[0] == graphs[1]
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         boundary_pair(H, (3.0, 7))
+    # nonspecial_darts checks its labels as boundary_pair does.
+    with pytest.raises(ValueError, match=r"^special dart 0 out of range 1\.\.8$"):
+        nonspecial_darts(H, (0, 5))
 
 
 def test_params_ranks_dense_codes_by_elimination(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,42 @@ def test_bad_labels_exit_2_with_one_line(tmp_path, capsys, command, data, messag
     path.write_text(json.dumps(data))
     assert main([command, str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+# One digit past what int() converts; json.dumps cannot write such a number.
+LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "command, fixture, old, new",
+    [
+        pytest.param("info", TORUS, '"darts": 8', f'"darts": {LONG}', id="darts"),
+        pytest.param("verify", TORUS, '"special": [3,', f'"special": [{LONG},', id="special"),
+        pytest.param("from-graph", TORIC_2X2, '"vertices": 4', f'"vertices": {LONG}', id="vertices"),
+    ],
+)
+def test_json_integer_past_the_digit_limit_exits_2_with_one_line(tmp_path, capsys, command, fixture, old, new):
+    # json.loads refuses it with advice to call sys.set_int_max_str_digits();
+    # the line says what is wrong and does not echo the digits.
+    text = open(fixture).read().replace(" ", "").replace(old.replace(" ", ""), new)
+    assert LONG in text
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    argv = [command, str(path)] + (["--out", str(tmp_path / "out.json")] if command == "from-graph" else [])
+    assert main(argv) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr() == ("", f"error: {path}: JSON holds an integer of more than {limit} digits\n")
+
+
+def test_special_flag_label_past_the_digit_limit_exits_2_with_one_line(capsys):
+    assert main(["build", TORUS, "--special", f"{LONG},7"]) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr() == ("", f"error: dart list holds a label of more than {limit} digits\n")
+    # A label of as many digits as int() converts passes the bound.
+    assert main(["build", TORUS, "--special", "0" * (limit - 1) + "3,7"]) == 0
+    plain = capsys.readouterr()
+    assert main(["build", TORUS, "--special", "3,7"]) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_info_malformed_json_exits_2(tmp_path, capsys):

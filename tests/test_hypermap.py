@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from hypermap_codes import (
     hypermap_from_json,
     hypermap_to_json,
     params,
+    toric_rotation_graph,
 )
+from hypermap_codes import hypermap
 from hypermap_codes.hypermap import check_special_darts, components
 from util import (
     random_hypermap,
@@ -261,30 +264,125 @@ def test_connectivity_matches_union_find_reference():
     assert connected == {True, False}
 
 
-def test_components_forest_matches_a_search():
-    # Two nodes share a root exactly when a search from one reaches the other.
+def search_labels(count, a, b):
+    """The smallest node that a search from each node reaches."""
+    neighbours = [set() for _ in range(count)]
+    for x, y in zip(a.tolist(), b.tolist()):
+        neighbours[x].add(y)
+        neighbours[y].add(x)
+    labels = []
+    for x in range(count):
+        reached, stack = {x}, [x]
+        while stack:
+            for y in neighbours[stack.pop()] - reached:
+                reached.add(y)
+                stack.append(y)
+        labels.append(min(reached))
+    return labels
+
+
+def counted_components(monkeypatch, count, a, b, bound):
+    """``components(count, a, b)`` and its number of hooking rounds; fail past ``bound`` rounds.
+
+    Each round calls ``np.minimum.at`` twice, counted through the numpy that
+    ``hypermap`` sees.  A routine that skips pointer jumping or hooks only
+    ``a``'s label can run without end; the bound turns that into a failure.
+    """
+    calls = []
+
+    def at(labels, index, values):
+        calls.append(None)
+        if len(calls) > 2 * bound:
+            pytest.fail(f"more than {bound} hooking rounds on {count} nodes")
+        np.minimum.at(labels, index, values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hypermap, "np", SimpleNamespace(**{**vars(np), "minimum": SimpleNamespace(at=at)}))
+        trees, labels = components(count, a, b)
+    return trees, labels, len(calls) // 2
+
+
+def test_components_labels_match_a_search(monkeypatch):
+    # labels[x] is the smallest node a search from x reaches, and the count
+    # is the number of distinct labels.  A round leaves at least one label
+    # that was its own node pointing lower, for good, so there are fewer
+    # rounds than nodes.
+    edges = np.zeros(0, dtype=np.intp)
+    cases = [
+        (0, edges, edges),  # no nodes
+        (4, edges, edges),  # no edges
+        (3, np.array([0, 2, 2]), np.array([0, 2, 2])),  # loops only
+        (5, np.array([4, 1, 3]), np.array([1, 4, 3])),  # isolated nodes 0 and 2
+    ]
     draw = np.random.default_rng(157)
     for _ in range(300):
-        count, m = int(draw.integers(0, 12)), int(draw.integers(0, 14))
-        a, b = draw.integers(0, max(count, 1), (2, m if count else 0))
-        trees, parent = components(count, a, b)
-        root = []
-        for x in range(count):
-            while parent[x] != x:
-                x = parent[x]
-            root.append(x)
-        neighbours = [set() for _ in range(count)]
-        for x, y in zip(a.tolist(), b.tolist()):
-            neighbours[x].add(y)
-            neighbours[y].add(x)
-        for x in range(count):
-            reached, stack = {x}, [x]
-            while stack:
-                for y in neighbours[stack.pop()] - reached:
-                    reached.add(y)
-                    stack.append(y)
-            assert reached == {y for y in range(count) if root[y] == root[x]}
-        assert trees == len(set(root))
+        count, m = int(draw.integers(1, 12)), int(draw.integers(0, 14))
+        a, b = draw.integers(0, count, (2, m))
+        loop = draw.random(m) < 0.2
+        b[loop] = a[loop]
+        cases.append((count, a, b))
+    for count, a, b in cases:
+        trees, labels, _ = counted_components(monkeypatch, count, a, b, max(count - 1, 0))
+        assert labels.tolist() == search_labels(count, a, b)
+        assert trees == len(set(labels.tolist()))
+
+
+def relabelled_toric_pair(draw, L):
+    """Two disjoint toric L x L hypermaps as one permutation pair, darts relabelled at random.
+
+    No :class:`Hypermap` is built, so no ``components`` call runs outside the test's count.
+    """
+    G = toric_rotation_graph(L, L)
+    sigma, tau = G.sigma(), G.end_swap()
+    n = sigma.n
+    new = draw.permutation(2 * n)
+    old = np.argsort(new)
+    pair = []
+    for p in (sigma, tau):
+        both = np.concatenate((p.array, p.array + n))
+        pair.append(Permutation(tuple((new[both[old]] + 1).tolist())))
+    return pair
+
+
+def several_round_cases():
+    """``(name, count, a, b, labels)`` for graphs on which hooking takes several rounds."""
+    draw = np.random.default_rng(163)
+    count = 1000
+    order = draw.permutation(count)
+    zigzag = np.empty(count, dtype=np.intp)
+    zigzag[0::2] = np.arange(count // 2)
+    zigzag[1::2] = np.arange(count - 1, count // 2 - 1, -1)
+    centre = count // 2
+    leaves = np.delete(np.arange(count), centre)
+    sigma, tau = relabelled_toric_pair(draw, 16)
+    roots = reference_components(sigma, tau)
+    smallest = {}
+    for d, root in enumerate(roots):
+        smallest.setdefault(root, d)
+    darts = np.arange(sigma.n)
+    return [
+        ("path in random order", count, order[:-1], order[1:], [0] * count),
+        ("zigzag path", count, zigzag[:-1], zigzag[1:], [0] * count),
+        ("star", count, np.full(count - 1, centre), leaves, [0] * count),
+        (
+            "relabelled toric 16x16 pair",
+            sigma.n,
+            np.concatenate((darts, darts)),
+            np.concatenate((sigma.array, tau.array)),
+            [smallest[root] for root in roots],
+        ),
+    ]
+
+
+def test_components_needs_few_rounds_on_long_graphs(monkeypatch):
+    # Pointer jumping keeps the rounds within log2 of the node count on
+    # these graphs; without it, or hooking only a's label, they run past
+    # the bound, and a routine that stops after one round returns wrong labels.
+    for name, count, a, b, expected in several_round_cases():
+        trees, labels, rounds = counted_components(monkeypatch, count, a, b, int(np.ceil(np.log2(count))))
+        assert labels.tolist() == expected, name
+        assert trees == len(set(expected))
+        assert rounds >= 2, f"{name}: one round is enough, so the case tests nothing"
 
 
 @pytest.mark.parametrize(
