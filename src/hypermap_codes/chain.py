@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .hypermap import Hypermap, _claim_hyperedges, _readonly
+from .hypermap import Hypermap, _readonly, _special_of_edge
 
 
 def face_dart_sum(H: Hypermap, face: int) -> np.ndarray:
@@ -85,13 +85,13 @@ def _nonspecial(n_darts: int, special: np.ndarray) -> np.ndarray:
     return nonspecial.nonzero()[0]
 
 
-def nonspecial_darts(H: Hypermap, S: tuple[int, ...]) -> tuple[int, ...]:
+def nonspecial_darts(H: Hypermap, S) -> tuple[int, ...]:
     """All darts not in ``S``, ascending; the special coordinate basis.
 
-    ``S`` is checked as :func:`~hypermap_codes.hypermap.check_special_darts` checks it.
+    ``S`` is checked as :func:`~hypermap_codes.hypermap.choose_special_darts`
+    checks it: exactly one dart on every hyperedge.
     """
-    special = _claim_hyperedges(H.hyperedges(), S, exact=True)[0]
-    return tuple((_nonspecial(H.n_darts, special) + 1).tolist())
+    return tuple((_nonspecial(H.n_darts, _special_of_edge(H, S)) + 1).tolist())
 
 
 def project_nonspecial(H: Hypermap, S: tuple[int, ...], x) -> np.ndarray:
@@ -212,21 +212,18 @@ class CssCode:
         return self.hx.shape[1] if self._columns is None else self._columns[0].shape[1]
 
 
-def _canonical_columns(H: Hypermap, S: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, np.ndarray, int, np.ndarray]]:
+def _canonical_columns(H: Hypermap, S) -> tuple[np.ndarray, tuple[int, np.ndarray, int, np.ndarray]]:
     """The nonspecial darts (0-based, ascending) and ``(x_rows, x_ends, z_rows, z_ends)``, not yet checked.
 
     The four are the canonical code's arguments of :meth:`CssCode.from_columns`: column ``k``,
     nonspecial dart ``d``, toggles the vertices of ``d`` and ``tau^-1(d)``
     and the faces of ``d`` and of its hyperedge's special dart.
     """
-    vertices, edges, faces = H.vertices(), H.hyperedges(), H.faces()
-    special, special_edge = _claim_hyperedges(edges, S, exact=True)
-    vertex, edge, face = vertices.array, edges.array, faces.array
+    vertices, faces = H.vertices(), H.faces()
+    special_of_edge = _special_of_edge(H, S)
+    vertex, edge, face = vertices.array, H.hyperedges().array, faces.array
     tau_inv = H.tau.inverse().array
-    special_of_edge = np.empty(len(edges), dtype=np.intp)
-    special_of_edge[special_edge] = special
-    darts = _nonspecial(H.n_darts, special)
-    del special, special_edge  # not held while the columns are built: 8 MiB at a million darts
+    darts = _nonspecial(H.n_darts, special_of_edge)
     return darts, (
         len(vertices),
         np.array((vertex[darts], vertex[tau_inv[darts]])),
@@ -235,8 +232,11 @@ def _canonical_columns(H: Hypermap, S: tuple[int, ...]) -> tuple[np.ndarray, tup
     )
 
 
-def boundary_pair(H: Hypermap, S: tuple[int, ...]) -> CssCode:
+def boundary_pair(H: Hypermap, S=None) -> CssCode:
     """The canonical code: both boundary matrices in the special basis defined by ``S``.
+
+    ``S`` is checked as :func:`~hypermap_codes.hypermap.choose_special_darts`
+    checks it; omitted, each hyperedge's smallest dart is special.
 
     ``hx`` is the vertex boundary ``p1`` and ``hz`` the face boundary
     ``p2``; columns follow :func:`nonspecial_darts`.  The code is built, and

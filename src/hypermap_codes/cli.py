@@ -21,7 +21,7 @@ import sys
 from . import css, gf2, surface
 from ._jsonfmt import write_text
 from .distance import distance_split
-from .hypermap import Hypermap, choose_special_darts, given_special_darts, load_hypermap, save_hypermap
+from .hypermap import Hypermap, choose_special_darts, load_hypermap, save_hypermap
 
 
 def _parse_dart_list(text: str) -> list[int]:
@@ -52,7 +52,7 @@ def _read(reader, path):
 def _load_hypermap_and_special(path, special_flag) -> tuple[Hypermap, tuple[int, ...]]:
     H, special = _read(load_hypermap, path)
     if special_flag is not None:
-        special = given_special_darts(H, _parse_dart_list(special_flag))
+        special = choose_special_darts(H, _parse_dart_list(special_flag))
     elif special is None:
         special = choose_special_darts(H)
     return H, special

@@ -32,7 +32,7 @@ import numpy as np
 from . import gf2
 from ._jsonfmt import read_text, write_text
 from .chain import CssCode, apply_basis_change, boundary_pair
-from .hypermap import Hypermap, choose_special_darts, components
+from .hypermap import Hypermap, components
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,6 @@ def build_canonical(H: Hypermap, S: tuple[int, ...] | None = None) -> CssCode:
     are used.  ``hx`` is the vertex boundary matrix and ``hz`` rows are the
     face boundaries; the code length is ``|W| - |E|``.
     """
-    if S is None:
-        S = choose_special_darts(H)
     return boundary_pair(H, S)
 
 

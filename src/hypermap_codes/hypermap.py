@@ -16,7 +16,8 @@ and pointer jumping with no loop per edge: it is what makes both column
 graphs of every canonical code connected
 (:func:`~hypermap_codes.css.params`).  Invalid data cannot be represented.
 A special-dart choice, one dart per hyperedge, is a plain tuple of labels
-(:func:`check_special_darts`, :func:`given_special_darts`).
+in hyperedge order; :func:`choose_special_darts` makes and checks every
+choice, for the CLI, the JSON reader and the canonical build alike.
 
 Both classes are frozen, so derived structure is computed at most once per
 object, on first use: a :class:`Permutation` keeps its orbit partition and
@@ -413,71 +414,55 @@ class Hypermap:
         return g
 
 
-def _claim_hyperedges(edges: OrbitPartition, darts, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The 0-based special darts and the hyperedge of each; no two may share a hyperedge.
+def _special_of_edge(H: Hypermap, S=None) -> np.ndarray:
+    """The 0-based special dart of every hyperedge of ``H``, in hyperedge order.
 
-    Labels go through :func:`operator.index` into one ``intp`` array.  With
-    ``exact``, ``darts`` must name every hyperedge, which is checked first,
-    after only the ``TypeError`` of a label that is not an integer.  On bad
-    input ``darts`` is read a second time, to name the first bad dart in the
-    given order, so it must be a collection.
+    With ``S`` omitted each hyperedge's smallest dart is special.  Otherwise
+    ``S`` is read once, as a tuple, and must name exactly one dart on every
+    hyperedge.  Its labels go through :func:`operator.index`, so floats and
+    strings raise ``TypeError``.  They are checked in the given order (an
+    integer, in range, not a second dart on a hyperedge already claimed),
+    and the count last, so the first bad label is the one named.
     """
+    edges = H.hyperedges()
+    if S is None:
+        return np.array(edges.smallest, dtype=np.intp) - 1
+    S = tuple(S)
+    n, m = edges.array.size, len(edges)
     try:
-        labels = np.fromiter(map(index, darts), np.intp)
+        labels = np.fromiter(map(index, S), np.intp, len(S))
     except (TypeError, OverflowError):
         labels = None  # a non-integer or a label past int64, named below
-    if exact:
-        count = len(tuple(map(index, darts))) if labels is None else labels.size
-        if count != len(edges):
-            raise ValueError(f"{count} special darts for {len(edges)} hyperedges")
-    n = edges.array.size
-    if labels is not None and (not labels.size or (1 <= labels.min() and labels.max() <= n)):
+    if labels is not None and labels.size == m and 1 <= labels.min() and labels.max() <= n:
         special = labels - 1
         claimed = edges.array[special]
-        if np.bincount(claimed).max(initial=0) <= 1:
-            return special, claimed
+        if np.bincount(claimed).max() == 1:
+            special_of_edge = np.empty(m, dtype=np.intp)
+            special_of_edge[claimed] = special
+            return special_of_edge
     first: dict[int, int] = {}
-    for d in map(index, darts):
+    for d in map(index, S):
         if not 1 <= d <= n:
             raise ValueError(f"special dart {d} out of range 1..{n}")
         k = edges.orbit_index(d)
         if k in first:
             raise DuplicateHyperedgeError(f"darts {first[k]} and {d} lie on the same hyperedge")
         first[k] = d
-    raise AssertionError("no bad special dart")
-
-
-def check_special_darts(H: Hypermap, S) -> tuple[int, ...]:
-    """Require exactly one dart of ``S`` on every hyperedge of ``H``.
-
-    Returns ``S`` as a tuple of ``int`` in the given order; labels go
-    through :func:`operator.index`, so floats and strings raise ``TypeError``.
-    """
-    return tuple((_claim_hyperedges(H.hyperedges(), S, exact=True)[0] + 1).tolist())
+    raise ValueError(f"{len(S)} special darts for {m} hyperedges")
 
 
 def choose_special_darts(H: Hypermap, preferred=None) -> tuple[int, ...]:
-    """Pick one special dart per hyperedge, listed in hyperedge order.
+    """One special dart per hyperedge of ``H``, listed in hyperedge order.
 
-    The default is the smallest dart of each hyperedge orbit; ``preferred``
-    darts override the default in their own orbits.  Two preferred darts on
-    the same hyperedge raise :class:`DuplicateHyperedgeError`.
+    The default is the smallest dart of each hyperedge.  A ``preferred``
+    list (any iterable of integer labels, read once) must name exactly one
+    dart on every hyperedge; it is checked label by label in the given
+    order and counted last (:func:`_special_of_edge`), the same rule and
+    error order for the CLI, the JSON reader and the canonical build.
     """
-    edges = H.hyperedges()
     if preferred is None:
-        return edges.smallest
-    special, claimed = _claim_hyperedges(edges, list(preferred))
-    chosen = np.array(edges.smallest, dtype=np.intp)
-    chosen[claimed] = special + 1
-    return tuple(chosen.tolist())
-
-
-def given_special_darts(H: Hypermap, darts: list[int]) -> tuple[int, ...]:
-    """:func:`choose_special_darts` for an input's list, which must name every hyperedge."""
-    S = choose_special_darts(H, preferred=darts)
-    if len(darts) != len(S):
-        raise ValueError(f"{len(darts)} special darts for {len(S)} hyperedges")
-    return S
+        return H.hyperedges().smallest
+    return tuple((_special_of_edge(H, preferred) + 1).tolist())
 
 
 # --- JSON file format ----------------------------------------------------------
@@ -544,7 +529,7 @@ def hypermap_from_json(data: dict) -> tuple[Hypermap, tuple[int, ...] | None]:
     H = Hypermap.from_cycles(n, sigma_cycles, tau_cycles)
     special = None
     if data.get("special") is not None:
-        special = given_special_darts(H, _json_labels(data["special"], "special"))
+        special = choose_special_darts(H, _json_labels(data["special"], "special"))
     return H, special
 
 

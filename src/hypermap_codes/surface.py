@@ -139,10 +139,7 @@ class RotationGraph:
 
     def end_swap(self) -> Permutation:
         """Involution pairing the two ends of every edge."""
-        return Permutation.from_cycles(
-            [(2 * j - 1, 2 * j) for j in range(1, len(self.edges) + 1)],
-            2 * len(self.edges),
-        )
+        return Permutation._of_array(np.arange(2 * len(self.edges)) ^ 1)
 
 
 def _face_traversal(G: RotationGraph) -> Permutation:
@@ -188,8 +185,6 @@ def hypermap_to_surface(H: Hypermap, S: tuple[int, ...] | None = None) -> Surfac
     canonical code: the graph is the canonical code's column arrays, whose
     chain condition is checked by pairing supports; neither matrix is built.
     """
-    if S is None:
-        S = choose_special_darts(H)
     darts, (vertex_count, ends, face_count, sides) = _canonical_columns(H, S)
     _check_pairing(ends, face_count, sides)
     return SurfaceGraph(vertex_count, face_count, darts + 1, ends, sides)
@@ -243,8 +238,6 @@ def verify_equivalence(H: Hypermap, S: tuple[int, ...] | None = None) -> tuple[C
     ``reference_boundary_rows``) and, in acceptance criterion 7, against the
     faces of a rotation system.
     """
-    if S is None:
-        S = choose_special_darts(H)
     code = boundary_pair(H, S)
     return code, params(code)
 

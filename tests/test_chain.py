@@ -303,7 +303,7 @@ def test_canonical_code_has_one_component_in_each_sector():
 
 def test_special_dart_labels_go_through_index():
     # Numpy integers and booleans name the same darts as ints, as
-    # check_special_darts reads them; a float is refused with its error.
+    # choose_special_darts reads them; a float is refused with its error.
     H, S = torus_hypermap()
     expected = boundary_pair(H, S)
     for labels in (np.array(S), [np.int32(3), np.int64(7)]):

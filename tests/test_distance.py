@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypermap_codes import (
     CssCode,
     NoLogicalOperatorError,
     build_canonical,
+    choose_special_darts,
     distance_bruteforce,
     distance_exhaustive,
     distance_split,
+    hypermap_from_json,
     params,
     rotation_to_surface,
     surface_code,
@@ -292,3 +296,27 @@ def test_distance_invariant_under_generator_changes():
 def test_distance_deterministic():
     code = torus_code()
     assert [distance_bruteforce(code) for _ in range(3)] == [2, 2, 2]
+
+
+# A genus-1 hypermap of 15 darts with V = E = F = 5, whose canonical codes
+# (n = 10, k = 2) differ in distance with the choice of special darts.
+SPECIAL_CHOICE_HYPERMAP = {
+    "darts": 15,
+    "sigma": [[1, 6, 5], [2, 14, 12, 11, 7], [4, 10, 13, 9], [8, 15]],
+    "tau": [[1, 13, 14], [2, 8, 11], [3, 5, 6], [4, 7, 10], [9, 12, 15]],
+}
+
+
+def test_special_darts_pick_the_distance():
+    H, special = hypermap_from_json(SPECIAL_CHOICE_HYPERMAP)
+    assert special is None and H.counts() == (5, 5, 5, 15) and H.genus() == 1
+    splits = Counter()
+    for S in product(*H.hyperedges().orbits):
+        code = build_canonical(H, S)
+        assert (code.n, params(code).k) == (10, 2)
+        splits[distance_split(code)] += 1
+    assert splits == {(2, 2): 27, (2, 1): 54, (1, 1): 162}
+    default, worse = build_canonical(H), build_canonical(H, (1, 2, 3, 7, 9))
+    assert choose_special_darts(H) == (1, 2, 3, 4, 9)
+    assert (distance_split(default), distance_exhaustive(default)) == ((2, 2), 2)
+    assert (distance_split(worse), distance_exhaustive(worse)) == ((1, 1), 1)

@@ -12,16 +12,22 @@ from hypermap_codes import (
     NotBijectiveError,
     NotConnectedError,
     Permutation,
+    boundary_pair,
     build_canonical,
     choose_special_darts,
     hypermap_from_json,
     hypermap_to_json,
+    hypermap_to_surface,
+    nonspecial_darts,
     params,
     toric_rotation_graph,
+    verify_equivalence,
 )
 from hypermap_codes import hypermap
-from hypermap_codes.hypermap import check_special_darts, components
+from hypermap_codes.cli import main
+from hypermap_codes.hypermap import components
 from util import (
+    FIXTURES,
     random_hypermap,
     random_permutation,
     random_sparse_permutation,
@@ -187,7 +193,7 @@ def test_cycles_reject_repeated_label():
         pytest.param(lambda: Permutation((1.9, 2.2)), id="float-image"),
         pytest.param(lambda: Permutation(("2", "1")), id="str-image"),
         pytest.param(lambda: Permutation.from_cycles([[1.0, 2.0]], 2), id="float-cycle"),
-        pytest.param(lambda: check_special_darts(torus_hypermap()[0], (1.0, 5)), id="float-special"),
+        pytest.param(lambda: choose_special_darts(torus_hypermap()[0], (1.0, 5)), id="float-special"),
         pytest.param(
             lambda: choose_special_darts(torus_hypermap()[0], preferred=[3.9, 7.1]), id="float-preferred"
         ),
@@ -204,10 +210,9 @@ def test_numpy_integer_labels_are_accepted():
     p = Permutation(tuple(np.array([2, 3, 1])))
     assert p.image == (2, 3, 1) and {type(x) for x in p.image} == {int}
     assert Permutation.from_cycles([np.array([1, 2, 3])], 3) == p
-    S = choose_special_darts(H, preferred=np.array([3, 7]))
-    assert S == (3, 7) and {type(x) for x in S} == {int}
-    S = check_special_darts(H, np.array([3, 7]))
-    assert S == (3, 7) and {type(x) for x in S} == {int}
+    for preferred in (np.array([3, 7]), np.array([7, 3])):
+        S = choose_special_darts(H, preferred=preferred)
+        assert S == (3, 7) and {type(x) for x in S} == {int}
 
 
 def test_face_permutation_of_torus():
@@ -462,21 +467,51 @@ def test_choose_special_duplicate_hyperedge():
         choose_special_darts(H, preferred=[1, 2])
 
 
+# Every entry point that takes a special-dart list, called as f(H, darts).
+SPECIAL_DART_READERS = {
+    "choose_special_darts": choose_special_darts,
+    "boundary_pair": boundary_pair,
+    "nonspecial_darts": nonspecial_darts,
+    "build_canonical": build_canonical,
+    "hypermap_to_surface": hypermap_to_surface,
+    "verify_equivalence": verify_equivalence,
+}
+
+
 @pytest.mark.parametrize(
     "darts, error, message",
     [
-        ((1, 2), DuplicateHyperedgeError, r"^darts 1 and 2 lie on the same hyperedge$"),
-        ((9, 5), ValueError, r"^special dart 9 out of range 1\.\.8$"),
-        ((3, 0), ValueError, r"^special dart 0 out of range 1\.\.8$"),
+        ((9,), ValueError, "special dart 9 out of range 1..8"),
+        ((3, 0), ValueError, "special dart 0 out of range 1..8"),
+        ((1, 2), DuplicateHyperedgeError, "darts 1 and 2 lie on the same hyperedge"),
+        ((3,), ValueError, "1 special darts for 2 hyperedges"),
+        ((), ValueError, "0 special darts for 2 hyperedges"),
+        ((2, 1, 10**30), DuplicateHyperedgeError, "darts 2 and 1 lie on the same hyperedge"),
+        ((3, 7.5), TypeError, "'float' object cannot be interpreted as an integer"),
     ],
-    ids=["same-hyperedge", "above-range", "zero"],
+    ids=["above-range", "zero", "same-hyperedge", "one-short", "empty", "repeated-before-huge", "float"],
 )
-def test_special_dart_errors_same_for_check_and_choose(darts, error, message):
+def test_special_dart_errors_same_at_every_entry_point(tmp_path, capsys, darts, error, message):
+    # Each label is checked in the given order (an integer, in range, not a
+    # second dart on a claimed hyperedge) and the count last, whichever
+    # entry point reads the list, and a one-shot iterator reads as the list.
     H, _ = torus_hypermap()
-    with pytest.raises(error, match=message):
-        check_special_darts(H, darts)
-    with pytest.raises(error, match=message):
-        choose_special_darts(H, preferred=darts)
+    for name, read in SPECIAL_DART_READERS.items():
+        for given in (darts, list(darts), iter(darts)):
+            with pytest.raises(error) as caught:
+                read(H, given)
+            assert (type(caught.value), str(caught.value)) == (error, message), (name, given)
+    if error is TypeError:
+        return  # a float is a parse error of --special and of a JSON file
+    torus = FIXTURES / "torus_hypermap.json"
+    path = tmp_path / "special.json"
+    path.write_text(json.dumps({**json.loads(torus.read_text()), "special": list(darts)}))
+    for argv, named in (
+        (["build", str(torus), "--special", ",".join(map(str, darts))], ""),
+        (["build", str(path)], f"{path}: "),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {named}{message}\n"), argv
 
 
 def test_preferred_darts_are_checked_in_order():
@@ -490,11 +525,14 @@ def test_preferred_darts_are_checked_in_order():
         choose_special_darts(H, preferred=[1, 1.5, 2])
 
 
-def test_check_special_darts_needs_one_per_hyperedge():
+def test_choose_special_darts_needs_one_per_hyperedge():
+    # The choice is listed in hyperedge order, whatever the given order; a
+    # list that misses a hyperedge is an error, not filled in with defaults.
     H, _ = torus_hypermap()
-    assert check_special_darts(H, (7, 3)) == (7, 3)
+    assert choose_special_darts(H, (7, 3)) == (3, 7)
+    assert choose_special_darts(H, iter([8, 2])) == (2, 8)
     with pytest.raises(ValueError, match=r"^1 special darts for 2 hyperedges$"):
-        check_special_darts(H, (3,))
+        choose_special_darts(H, preferred=[3])
 
 
 def test_counts_invariant_under_relabeling():

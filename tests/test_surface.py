@@ -130,6 +130,14 @@ def test_graph_numpy_integer_labels_are_accepted():
     assert {type(x) for x in (G.vertex_count, *G.edges[0], *G.rotation[0])} == {int}
 
 
+def test_end_swap_pairs_the_two_ends_of_every_edge():
+    for m in range(6):
+        G = RotationGraph(1, ((1, 1),) * m, (tuple(range(1, 2 * m + 1)),))
+        swap = G.end_swap()
+        assert swap == Permutation.from_cycles([(2 * j - 1, 2 * j) for j in range(1, m + 1)], 2 * m)
+        assert swap.array.dtype == np.intp and not swap.array.flags.writeable
+
+
 def test_surface_graph_holds_read_only_intp_arrays():
     ends = np.array([[0, 1], [1, 1]], dtype=np.intp)
     G = SurfaceGraph(np.int64(2), 3, np.array([2, 7], dtype=np.uint8), ends, [(0, 2), (1, 2)])
