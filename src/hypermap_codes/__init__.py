@@ -59,7 +59,6 @@ from .surface import (
     hypermap_to_surface,
     intermediate_surface,
     load_rotation_graph,
-    rotation_faces,
     rotation_to_surface,
     save_surface_graph,
     surface_code,

@@ -73,8 +73,8 @@ def dart_vertex_sum(H: Hypermap, dart: int) -> np.ndarray:
     """
     verts = H.vertices()
     out = np.zeros(len(verts), dtype=np.uint8)
-    out[verts.orbit_index(dart)] ^= 1
-    out[verts.orbit_index(H.tau.inverse()(dart))] ^= 1
+    out[verts.orbit_index(dart)] ^= 1  # checks the range of dart
+    out[verts.array[H.tau.inverse().array[dart - 1]]] ^= 1
     return out
 
 
@@ -99,9 +99,10 @@ def project_nonspecial(H: Hypermap, S: tuple[int, ...], x) -> np.ndarray:
 
     Each special dart in ``x`` is replaced by the sum of the other darts of
     its hyperedge; the result has length ``|W| - |E|`` with coordinates in
-    nonspecial-dart order.
+    nonspecial-dart order.  ``S`` is read once, so any iterable will do.
     """
-    x = gf2.as_vector(x)
+    S = tuple(S)
+    (x,) = gf2.as_matrix([x])
     if x.shape[0] != H.n_darts:
         raise ValueError(f"dart sum has length {x.shape[0]}, expected {H.n_darts}")
     edges = H.hyperedges()
@@ -146,7 +147,7 @@ def _check_pairing(x_ends: np.ndarray, z_rows: int, z_ends: np.ndarray) -> None:
         raise ValueError("hx and hz are not orthogonal over GF(2)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CssCode:
     """Generator matrices ``hx`` and ``hz`` (read-only ``uint8``), checked orthogonal over GF(2).
 
@@ -157,6 +158,10 @@ class CssCode:
     and ``hz`` the first time it is read (:meth:`__getattr__`); until then
     it holds only the arrays.  A canonical code (:func:`boundary_pair`) also
     carries the component counts of its two column graphs as ``_components``.
+
+    Codes compare and hash by identity, and ``repr`` reads only ``n`` and
+    the row counts, so neither fills a matrix;
+    :func:`~hypermap_codes.css.stabilizer_equal` compares row spaces.
     """
 
     hx: np.ndarray
@@ -210,6 +215,10 @@ class CssCode:
     @property
     def n(self) -> int:
         return self.hx.shape[1] if self._columns is None else self._columns[0].shape[1]
+
+    def __repr__(self) -> str:
+        x_rows, z_rows = self._rows or (self.hx.shape[0], self.hz.shape[0])
+        return f"CssCode(n={self.n}, hx_rows={x_rows}, hz_rows={z_rows})"
 
 
 def _canonical_columns(H: Hypermap, S) -> tuple[np.ndarray, tuple[int, np.ndarray, int, np.ndarray]]:

@@ -109,7 +109,7 @@ def cmd_build(args) -> int:
     code = css.build_canonical(H, special)
     k = css.params(code).k
     if args.basis_change is not None:
-        code = css.transform(code, _read(gf2.read_matrix, args.basis_change))
+        code = _read(lambda path: css.transform(code, gf2.read_matrix(path)), args.basis_change)
     if args.reduce:
         code = css.reduced(code)
     line = f"n={code.n} k={k}"
@@ -163,8 +163,7 @@ def _print_row_space_diff(a: css.CssCode, b: css.CssCode) -> None:
 
 
 def cmd_decompose(args) -> int:
-    T = _read(gf2.read_matrix, args.matrix)
-    circuit = css.cnot_circuit(T)
+    circuit = _read(lambda path: css.cnot_circuit(gf2.read_matrix(path)), args.matrix)
     sys.stdout.write("".join(f"CNOT {c} {t}\n" for c, t in circuit.gates.tolist()))
     print(f"gates={len(circuit)} bound={circuit.n * circuit.n}")
     return 0

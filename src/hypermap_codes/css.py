@@ -41,13 +41,14 @@ class CodeParams:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CnotCircuit:
     """A CNOT circuit on ``n`` qubits, held as one ``(m, 2)`` integer array.
 
     Row ``l`` of ``gates`` is the 1-based ``(control, target)`` of gate
     ``l``.  All gates are checked at once; each error names the first bad
-    gate.  This is the one place gates are validated.
+    gate.  This is the one place gates are validated.  Circuits compare and
+    hash by identity.
     """
 
     gates: np.ndarray

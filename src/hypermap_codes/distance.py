@@ -207,11 +207,13 @@ def distance_exhaustive(code) -> int:
 
     Kernel membership is decided row by row (parity of each check against
     the candidate), independently of the oracle's column XORs and of its
-    weight and kernel strategies.  Row-space membership goes through
-    :func:`~hypermap_codes.gf2.row_space_contains`, so it shares the packed
-    elimination core (``gf2._forward``/``gf2._reduce``) with the oracle's
-    reducer; that core's independent reference is the column loop of
-    ``tests/util.py``, which ``tests/test_gf2_core.py`` cross-checks it against.
+    weight and kernel strategies.  Row-space membership reduces the
+    candidate against the echelon bases of ``hx`` and ``hz``, each
+    eliminated once (:func:`~hypermap_codes.gf2.row_basis`), so it shares
+    the packed elimination core (``gf2._forward``/``gf2._reduce``) with the
+    oracle's reducer; that core's independent reference is the column loop
+    of ``tests/util.py``, which ``tests/test_gf2_core.py`` cross-checks it
+    against.
     """
     n = code.n
     if n > MAX_EXHAUSTIVE_QUBITS:
@@ -219,21 +221,18 @@ def distance_exhaustive(code) -> int:
             f"{n} qubits exceed the n <= {MAX_EXHAUSTIVE_QUBITS} exhaustion guard"
         )
     hx_rows, hz_rows = gf2._pack_rows(code.hx), gf2._pack_rows(code.hz)
-
-    def unpack(mask):
-        return np.array([(mask >> j) & 1 for j in range(n)], dtype=np.uint8)
-
+    bx, bz = gf2.row_basis(code.hx), gf2.row_basis(code.hz)
     best = None
     for mask in range(1, 1 << n):
         weight = mask.bit_count()
         if best is not None and weight >= best:
             continue
         in_ker_x = all((row & mask).bit_count() % 2 == 0 for row in hx_rows)
-        if in_ker_x and not gf2.row_space_contains(code.hz, unpack(mask)):
+        if in_ker_x and gf2._reduce(mask, *bz):
             best = weight
             continue
         in_ker_z = all((row & mask).bit_count() % 2 == 0 for row in hz_rows)
-        if in_ker_z and not gf2.row_space_contains(code.hx, unpack(mask)):
+        if in_ker_z and gf2._reduce(mask, *bx):
             best = weight
     if best is None:
         raise NoLogicalOperatorError("code has no logical operators (k = 0)")

@@ -2,15 +2,16 @@
 
 Matrices are plain ``numpy.ndarray`` objects with dtype uint8 and entries in
 {0, 1}; all arithmetic is mod 2.  Every elimination (``row_echelon``,
-``rank``, ``invert``, row-space membership, CNOT synthesis) packs each row
-into a Python int once per matrix and works by int XOR; products go through
-BLAS (:func:`mul`).
+``rank``, row-space membership, CNOT synthesis) packs each row into a
+Python int once per matrix and works by int XOR; :func:`invert` is the
+reduced form of ``[T | I]``, and products go through BLAS (:func:`mul`).
 
 The row-space API is one pair: :func:`row_basis` eliminates a matrix once
 into its echelon basis, whose size is the rank, and :func:`rows_outside`
-names the rows of another matrix outside that span.  Ranks, row-space
-membership and equality, the ``compare`` diff and the distance oracle's
-reducer all go through it.
+names the rows of another matrix outside that span; there is no other
+row-space entry point.  Ranks, row-space membership and equality, the
+``compare`` diff, and the distance oracle's reducer and its exhaustive
+cross-check all go through it.
 
 Array axes are 0-based as usual, but the column indices of an
 elementary-factor decomposition are 1-based, matching the dart and qubit
@@ -44,16 +45,6 @@ def as_matrix(data) -> np.ndarray:
     if M.size and int(M.max()) > 1:
         raise ValueError("matrix entries must be 0 or 1")
     return M
-
-
-def as_vector(data) -> np.ndarray:
-    """Coerce ``data`` to a 1-d uint8 array with entries in {0, 1}."""
-    v = np.asarray(data, dtype=np.uint8)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d array, got shape {v.shape}")
-    if v.size and int(v.max()) > 1:
-        raise ValueError("vector entries must be 0 or 1")
-    return v
 
 
 def identity(n: int) -> np.ndarray:
@@ -199,35 +190,22 @@ def kernel_basis(M) -> np.ndarray:
     return basis
 
 
-def row_space_contains(M, v) -> bool:
-    """True iff ``v`` is a GF(2) combination of the rows of ``M``."""
-    M = as_matrix(M)
-    v = as_vector(v)
-    if v.shape[0] != M.shape[1]:
-        raise ValueError(
-            f"vector length {v.shape[0]} does not match {M.shape[1]} columns"
-        )
-    return not rows_outside(v[np.newaxis, :], row_basis(M))
-
-
 def invert(T) -> np.ndarray:
     """Inverse over GF(2); raises :class:`SingularMatrixError` if rank-deficient.
 
-    Reduces ``[T | I]`` with row ``i`` packed as ``T[i] | 1 << (n + i)``.
-    ``T`` is invertible exactly when the pivots are ``0..n-1``; the reduced
-    rows then read ``[I | T^-1]``.
+    The right block of the reduced form of ``[T | I]`` (:func:`row_echelon`).
+    ``T`` is invertible exactly when all ``n`` pivots lie in its columns; the
+    reduced rows then read ``[I | T^-1]``.
     """
     T = as_matrix(T)
     n = T.shape[0]
     if T.shape[1] != n:
         raise ValueError(f"matrix is {T.shape[0]}x{T.shape[1]}, not square")
-    rows = [row | 1 << (n + i) for i, row in enumerate(_pack_rows(T))]
-    basis, mask = _forward(rows)
-    r = (mask & ((1 << n) - 1)).bit_count()
+    R, pivots = row_echelon(np.hstack([T, identity(n)]))
+    r = sum(p < n for p in pivots)
     if r != n:
         raise SingularMatrixError(f"matrix has rank {r} < {n}")
-    reduced = _back_substitute(basis, mask)
-    return _unpack_rows([reduced[i] >> n for i in range(n)], n)
+    return R[:, n:]
 
 
 def elementary_matrix(i: int, j: int, n: int) -> np.ndarray:

@@ -147,11 +147,12 @@ class Permutation:
     """A permutation of ``{1..n}``, given by its tuple of 1-based images.
 
     ``array`` is the read-only 0-based image array, ``array[d - 1] ==
-    self(d) - 1``.  ``Permutation(image)`` checks the tuple it is given and
-    builds the array.  A permutation the package derives
+    image[d - 1] - 1``.  ``Permutation(image)`` checks the tuple it is given
+    and builds the array.  A permutation the package derives
     (:meth:`from_cycles`, :meth:`inverse`, ``*``) holds only the array and
     builds ``image`` the first time it is read (:meth:`__getattr__`), as
-    calls, equality, hashing and ``repr`` do.
+    equality, hashing and ``repr`` do.  The identity on ``n`` darts is
+    ``from_cycles([], n)``.
     """
 
     image: tuple[int, ...]
@@ -179,10 +180,6 @@ class Permutation:
         image = tuple((self.array + 1).tolist())
         object.__setattr__(self, "image", image)
         return image
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, _checked_size(n) + 1)))
 
     @classmethod
     def from_cycles(cls, cycles, n: int) -> "Permutation":
@@ -220,11 +217,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return self.array.size
-
-    def __call__(self, dart: int) -> int:
-        if not 1 <= dart <= self.n:
-            raise ValueError(f"dart {dart} out of range 1..{self.n}")
-        return self.image[dart - 1]
 
     def inverse(self) -> "Permutation":
         """The inverse permutation, computed once per object."""
@@ -352,10 +344,11 @@ class Hypermap:
         try:
             labels, sizes = _read_cycles(cycles)
         except (TypeError, OverflowError):
-            # The guards read the labels as given; each permutation then
-            # names its first bad entry.
+            # The guards read the labels through operator.index, so a
+            # non-integer raises here as in Permutation.from_cycles; with a
+            # label past int64, each permutation names its first bad entry.
             labels = None
-            named = max(chain.from_iterable(cycles), default=0)
+            named = max(map(index, chain.from_iterable(cycles)), default=0)
         else:
             named = int(labels.max(initial=0))
         if n > max(1, named):

@@ -142,25 +142,16 @@ class RotationGraph:
         return Permutation._of_array(np.arange(2 * len(self.edges)) ^ 1)
 
 
-def _face_traversal(G: RotationGraph) -> Permutation:
-    """The permutation of edge-ends whose orbits are the faces of the embedding."""
-    if not G.edges:
-        raise ValueError("face traversal needs at least one edge")
-    return G.sigma() * G.end_swap()
-
-
-def rotation_faces(G: RotationGraph) -> tuple[tuple[int, ...], ...]:
-    """Faces of the embedded graph, as edge-end orbits of the face traversal."""
-    return _face_traversal(G).orbits().orbits
-
-
 def rotation_to_surface(G: RotationGraph) -> SurfaceGraph:
     """Forget the rotation system, keeping the faces it induces.
 
     Edges are labeled by their 1-based edge index; the sides of edge ``j``
-    are the faces of its edge-ends ``2j-1`` and ``2j``.
+    are the faces of its edge-ends ``2j-1`` and ``2j``, the orbits of the
+    face traversal ``sigma * end_swap``.
     """
-    faces = _face_traversal(G).orbits()
+    if not G.edges:
+        raise ValueError("face traversal needs at least one edge")
+    faces = (G.sigma() * G.end_swap()).orbits()
     ends = np.array(G.edges, dtype=np.intp).T - 1
     return SurfaceGraph(G.vertex_count, len(faces), np.arange(1, len(G.edges) + 1), ends, faces.array.reshape(-1, 2).T)
 

@@ -56,7 +56,7 @@ def test_face_dart_sums_torus():
 
 
 def test_face_dart_sum_single_dart():
-    H = Hypermap(Permutation.identity(1), Permutation.identity(1))
+    H = Hypermap(Permutation.from_cycles([], 1), Permutation.from_cycles([], 1))
     assert support(face_dart_sum(H, 0)) == [1]
 
 
@@ -78,7 +78,7 @@ def test_hyperedge_dart_sums():
     H, _ = torus_hypermap()
     assert support(H.hyperedges().array == 0) == [1, 2, 3, 4]
     assert support(H.hyperedges().array == 1) == [5, 6, 7, 8]
-    single = Hypermap(Permutation.identity(1), Permutation.identity(1))
+    single = Hypermap(Permutation.from_cycles([], 1), Permutation.from_cycles([], 1))
     assert support(single.hyperedges().array == 0) == [1]
 
 
@@ -413,3 +413,25 @@ def test_basis_change_rejects_singular():
     with pytest.raises(gf2.SingularMatrixError):
         apply_basis_change(boundary_pair(H, S), np.zeros((6, 6), dtype=np.uint8))
 
+
+
+def test_codes_compare_by_identity_and_repr_fills_no_matrix():
+    # Dataclass equality on numpy arrays raised, and repr and == filled both
+    # matrices of a column-built code first.
+    H, S = graph_to_hypermap(toric_rotation_graph(8, 8))
+    code, other = boundary_pair(H, S), boundary_pair(H, S)
+    assert repr(code) == "CssCode(n=128, hx_rows=64, hz_rows=64)"
+    assert code == code and code != other and len({code, other}) == 2
+    assert "hx" not in vars(code) and "hz" not in vars(code)
+    assert "hx" not in vars(other) and "hz" not in vars(other)
+    dense = CssCode(code.hx, code.hz)
+    assert repr(dense) == repr(code) and dense != code and hash(dense) == hash(dense)
+
+
+def test_project_nonspecial_reads_special_darts_once():
+    H, S = torus_hypermap()
+    x = np.zeros(8, dtype=np.uint8)
+    x[[2, 6]] = 1  # both special darts
+    expected = project_nonspecial(H, S, x)
+    assert np.array_equal(project_nonspecial(H, iter(S), x), expected)
+    assert expected.tolist() == [1, 1, 1, 1, 1, 1]

@@ -299,8 +299,20 @@ def test_partial_special_list_exits_2(tmp_path, capsys, command, special):
 
 def test_build_singular_basis_change_exit_2(tmp_path, capsys):
     bad = tmp_path / "T.txt"
-    gf2.write_matrix(bad, np.zeros((6, 6), dtype=np.uint8))
+    T = gf2.identity(6)
+    T[:2, :2] = 1  # rows 1 and 2 are equal
+    gf2.write_matrix(bad, T)
     assert main(["build", TORUS, "--basis-change", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: matrix is singular at row 2\n")
+
+
+def test_build_wrong_size_basis_change_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "T.txt"
+    gf2.write_matrix(bad, gf2.identity(2))
+    out = tmp_path / "out.txt"
+    assert main(["build", TORUS, "--basis-change", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: basis change acts on 2 qubits, code has 6\n")
+    assert not out.exists()
 
 
 def test_build_deterministic_output(tmp_path):
@@ -353,6 +365,26 @@ def test_from_graph_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "V=4 E=8 F=4 W=16 genus=1" in out
     assert main(["verify", str(hmap)]) == 0
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param({"vertices": 0, "edges": [], "rotation": []}, "graph needs at least one vertex", id="no-vertex"),
+        pytest.param(
+            {"vertices": 2, "edges": [[1, 1]], "rotation": [[1, 2]]}, "1 rotation cycles for 2 vertices", id="cycles"
+        ),
+        pytest.param(
+            {"vertices": 1, "edges": [[1, 3]], "rotation": [[1, 2]]}, "edge (1,3) endpoint out of range", id="endpoint"
+        ),
+    ],
+)
+def test_from_graph_bad_graph_exits_2_with_one_line(tmp_path, capsys, data, message):
+    path, out = tmp_path / "graph.json", tmp_path / "out.json"
+    path.write_text(json.dumps(data))
+    assert main(["from-graph", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not out.exists()
 
 
 def test_verify_torus(capsys):
@@ -478,8 +510,16 @@ def test_decompose_single_gate(capsys):
 
 def test_decompose_singular_exit_2(tmp_path, capsys):
     path = tmp_path / "T.txt"
-    gf2.write_matrix(path, np.zeros((3, 3), dtype=np.uint8))
+    gf2.write_matrix(path, np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8))
     assert main(["decompose", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: matrix is singular at row 2\n")
+
+
+def test_decompose_non_square_names_the_file(tmp_path, capsys):
+    path = tmp_path / "T.txt"
+    gf2.write_matrix(path, np.zeros((2, 3), dtype=np.uint8))
+    assert main(["decompose", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: matrix is 2x3, not square\n")
 
 
 def test_distance_command(tmp_path, capsys):

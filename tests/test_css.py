@@ -339,3 +339,10 @@ def test_zero_qubit_stabilizer_file_round_trip():
 def test_parse_stabilizer_requires_both_sections():
     with pytest.raises(ValueError):
         parse_stabilizer("Hx\n1 1\n1\n")
+
+
+def test_circuits_compare_by_identity():
+    T = random_invertible(random.Random(5), 6)
+    a, b = cnot_circuit(T), cnot_circuit(T)
+    assert np.array_equal(a.gates, b.gates)
+    assert a == a and a != b and len({a, b}) == 2 and hash(a) == hash(a)

@@ -274,7 +274,7 @@ def test_split_eliminates_each_matrix_once(monkeypatch):
 def test_zero_qubit_code_has_no_logicals():
     from hypermap_codes import Hypermap, Permutation
 
-    code = build_canonical(Hypermap(Permutation.identity(1), Permutation.identity(1)))
+    code = build_canonical(Hypermap(Permutation.from_cycles([], 1), Permutation.from_cycles([], 1)))
     assert code.n == 0
     with pytest.raises(NoLogicalOperatorError):
         distance_bruteforce(code)

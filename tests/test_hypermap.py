@@ -55,7 +55,7 @@ def test_derived_permutations_build_their_image_on_first_read():
         assert "image" in vars(p) and image == tuple((p.array + 1).tolist())
         given = Permutation(image)
         assert p == given and hash(p) == hash(given) and repr(p) == repr(given)
-        for first_read in (lambda q: q == given, lambda q: hash(q) == hash(given), lambda q: q(1) == image[0]):
+        for first_read in (lambda q: q == given, lambda q: hash(q) == hash(given), lambda q: q.image[0] == image[0]):
             q = make()
             assert first_read(q) and vars(q)["image"] == image
         with pytest.raises(AttributeError, match="no attribute 'images'"):
@@ -70,7 +70,7 @@ def permutations_to_cross_check():
     cycle are included.
     """
     rng = random.Random(409)
-    perms = [Permutation.identity(n) for n in (1, 2, 5)]
+    perms = [Permutation.from_cycles([], n) for n in (1, 2, 5)]
     perms += [random_sparse_permutation(rng, n) for n in (3, 8, 20, 64) for _ in range(3)]
     perms += [random_permutation(rng, n) for n in (2, 3, 7, 16, 33, 100, 257) for _ in range(2)]
     for length in (2, 3, 4, 5, 8, 9, 16, 17, 1024, 1025, 2000):
@@ -142,7 +142,6 @@ def test_from_cycles_names_first_bad_entry_in_reading_order(cycles, error, messa
     [
         pytest.param(lambda n: Permutation.from_cycles([], n), id="from_cycles"),
         pytest.param(lambda n: Permutation.from_cycles([[1, 2**62]], n), id="from_cycles-huge-label"),
-        pytest.param(Permutation.identity, id="identity"),
     ],
 )
 @pytest.mark.parametrize("n", [-1, -3, 2**63 - 1, 2**63, 2**64], ids=["-1", "-3", "2**63-1", "2**63", "2**64"])
@@ -160,14 +159,13 @@ def test_size_out_of_range_is_one_line_error(build, n):
 
 
 def test_size_guard_keeps_small_sizes():
-    assert Permutation.identity(0).n == 0
     assert Permutation.from_cycles([], 0).n == 0
     assert Permutation.from_cycles([[1, 2]], 4).image == (2, 1, 3, 4)
-    assert Permutation.identity(np.int64(3)) == Permutation.identity(3)
+    assert Permutation.from_cycles([], np.int64(3)) == Permutation((1, 2, 3))
 
 
 def test_identity_orbits():
-    parts = Permutation.identity(3).orbits()
+    parts = Permutation.from_cycles([], 3).orbits()
     assert parts.orbits == ((1,), (2,), (3,))
 
 
@@ -205,6 +203,25 @@ def test_labels_are_not_coerced(build):
         build()
 
 
+@pytest.mark.parametrize("label", ["a", None, 2.5], ids=["str", "None", "float"])
+def test_hypermap_from_cycles_reads_labels_as_integers(label):
+    # The guards read the labels through operator.index, as
+    # Permutation.from_cycles does, so the error is the same.
+    message = rf"^'{type(label).__name__}' object cannot be interpreted as an integer$"
+    with pytest.raises(TypeError, match=message):
+        Permutation.from_cycles([[1, label]], 2)
+    with pytest.raises(TypeError, match=message):
+        Hypermap.from_cycles(2, [[1, label]], [[1, 2]])
+    # Before the guard that needs dart 3 to be named.
+    with pytest.raises(TypeError, match=message):
+        Hypermap.from_cycles(3, [[1, label]], [])
+
+
+def test_hypermap_needs_sigma_and_tau_on_the_same_darts():
+    with pytest.raises(ValueError, match=r"^sigma acts on 2 darts but tau on 3$"):
+        Hypermap(Permutation.from_cycles([], 2), Permutation.from_cycles([], 3))
+
+
 def test_numpy_integer_labels_are_accepted():
     H, _ = torus_hypermap()
     p = Permutation(tuple(np.array([2, 3, 1])))
@@ -223,12 +240,12 @@ def test_face_permutation_of_torus():
 def test_face_permutation_sigma_equals_tau():
     p = Permutation.from_cycles([[1, 2, 3]], 3)
     H = Hypermap(p, p)
-    assert H.face_permutation() == Permutation.identity(3)
+    assert H.face_permutation() == Permutation.from_cycles([], 3)
 
 
 def test_face_permutation_identity_tau():
     sigma = Permutation.from_cycles([[1, 2, 3]], 3)
-    H = Hypermap(sigma, Permutation.identity(3))
+    H = Hypermap(sigma, Permutation.from_cycles([], 3))
     assert H.face_permutation() == sigma
 
 
@@ -238,7 +255,7 @@ def test_counts_torus():
 
 
 def test_counts_single_dart():
-    H = Hypermap(Permutation.identity(1), Permutation.identity(1))
+    H = Hypermap(Permutation.from_cycles([], 1), Permutation.from_cycles([], 1))
     assert H.counts() == (1, 1, 1, 1)
     assert H.genus() == 0
 
@@ -246,7 +263,7 @@ def test_counts_single_dart():
 def test_disconnected_pair_rejected():
     message = r"^only {} of {} darts are reachable from dart 1 under sigma and tau$"
     with pytest.raises(NotConnectedError, match=message.format(1, 2)):
-        Hypermap(Permutation.identity(2), Permutation.identity(2))
+        Hypermap(Permutation.from_cycles([], 2), Permutation.from_cycles([], 2))
     swaps = Permutation((2, 1, 4, 3))
     with pytest.raises(NotConnectedError, match=message.format(2, 4)):
         Hypermap(swaps, swaps)
@@ -445,7 +462,7 @@ def test_incident_vertex_out_of_range():
 
 
 def test_identity_sigma_gives_one_vertex_per_dart():
-    H = Hypermap(Permutation.identity(2), Permutation.from_cycles([[1, 2]], 2))
+    H = Hypermap(Permutation.from_cycles([], 2), Permutation.from_cycles([[1, 2]], 2))
     assert H.vertices().orbit_index(1) == 0
     assert H.vertices().orbit_index(2) == 1
     assert H.vertices().array.tolist() == [0, 1]
@@ -563,7 +580,7 @@ def test_orbits_closed_under_permutation():
         parts = p.orbits()
         assert sorted(d for orbit in parts.orbits for d in orbit) == list(range(1, p.n + 1))
         for orbit in parts.orbits:
-            assert {p(d) for d in orbit} == set(orbit)
+            assert {p.image[d - 1] for d in orbit} == set(orbit)
 
 
 def test_json_round_trip():

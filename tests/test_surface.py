@@ -23,7 +23,6 @@ from hypermap_codes import (
     intermediate_surface,
     nonspecial_darts,
     params,
-    rotation_faces,
     rotation_to_surface,
     stabilizer_equal,
     surface_code,
@@ -485,9 +484,20 @@ def test_surface_code_matches_entry_by_entry_reference():
 def test_toric_rotation_graph_faces():
     for rows, cols in ((1, 1), (2, 2), (3, 3), (2, 3)):
         G = toric_rotation_graph(rows, cols)
-        faces = rotation_faces(G)
-        assert len(faces) == rows * cols
-        assert G.vertex_count - len(G.edges) + len(faces) == 0  # genus 1
+        faces = rotation_to_surface(G).face_count
+        assert faces == rows * cols
+        assert G.vertex_count - len(G.edges) + faces == 0  # genus 1
+
+
+def test_toric_rotation_graph_needs_positive_dimensions():
+    for rows, cols in ((0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError, match=r"^grid dimensions must be positive$"):
+            toric_rotation_graph(rows, cols)
+
+
+def test_rotation_to_surface_needs_an_edge():
+    with pytest.raises(ValueError, match=r"^face traversal needs at least one edge$"):
+        rotation_to_surface(RotationGraph(1, (), ((),)))
 
 
 def test_toric_2x2_code_parameters():

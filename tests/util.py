@@ -22,7 +22,6 @@ from hypermap_codes import (
     nonspecial_darts,
     params,
     project_nonspecial,
-    rotation_faces,
 )
 from hypermap_codes import gf2
 
@@ -133,7 +132,7 @@ def reference_hypermap_from_cycles(n, sigma_cycles, tau_cycles):
     :func:`reference_from_cycles` and the pair checked connected.
     """
     labels = [x for cycle in [*sigma_cycles, *tau_cycles] for x in cycle]
-    if n > max(1, max(labels, default=0)):
+    if n > max(1, max(map(index, labels), default=0)):
         raise NotConnectedError(f"dart {n} is fixed by sigma and tau, so it is a component of its own")
     if n > max(1, len(labels)):
         raise NotConnectedError(
@@ -163,10 +162,11 @@ def reference_surface_code(G):
 def reference_rotation_faces(G):
     """Face supports of :func:`rotation_to_surface`, one edge-end at a time.
 
-    Every edge-end ``h`` of a face toggles edge ``(h + 1) // 2`` in its support.
+    The faces are the orbits of the face traversal ``sigma * end_swap``, and
+    every edge-end ``h`` of a face toggles edge ``(h + 1) // 2`` in its support.
     """
     faces = []
-    for orbit in rotation_faces(G):
+    for orbit in (G.sigma() * G.end_swap()).orbits().orbits:
         support = set()
         for h in orbit:
             support ^= {(h + 1) // 2}
