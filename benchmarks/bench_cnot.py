@@ -27,7 +27,7 @@ from hypermap_codes import gf2
 from hypermap_codes.css import build_canonical, cnot_circuit, code_from_boundary_change, transform
 from hypermap_codes.hypermap import Hypermap, NotConnectedError, choose_special_darts
 
-SIZES = (32, 64, 128, 256)
+SIZES = (24, 32, 60, 64, 96, 128, 256)
 
 
 def random_hypermap(seed: int, n: int) -> Hypermap:

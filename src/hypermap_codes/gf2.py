@@ -1,10 +1,12 @@
 """GF(2) linear algebra on numpy uint8 matrices, eliminating on packed ints.
 
 Matrices are plain ``numpy.ndarray`` objects with dtype uint8 and entries in
-{0, 1}; all arithmetic is mod 2.  Every elimination (``row_echelon``,
-``rank``, row-space membership, CNOT synthesis) packs each row into a
-Python int once per matrix and works by int XOR; :func:`invert` is the
-reduced form of ``[T | I]``, and products go through BLAS (:func:`mul`).
+{0, 1}; all arithmetic is mod 2.  Every row elimination (``row_echelon``,
+``rank``, row-space membership) packs each row into a Python int once per
+matrix and works by int XOR; CNOT synthesis packs the whole matrix into one
+int, so that a column addition in every row is one shift, mask and multiply.
+:func:`invert` is the reduced form of ``[T | I]``, and products go through
+BLAS (:func:`mul`).
 
 The row-space API is one pair: :func:`row_basis` eliminates a matrix once
 into its echelon basis, whose size is the rank, and :func:`rows_outside`
@@ -239,37 +241,48 @@ def decompose_elementary(T) -> np.ndarray:
     if M.shape[1] != n:
         raise ValueError(f"matrix is {M.shape[0]}x{M.shape[1]}, not square")
 
-    # Row r of M is the int rows[r], bit c being M[r, c], so adding column
-    # c into column t flips bit t of each row holding bit c.  When step i
-    # starts, rows 0..i-1 are unit rows, which no factor of this step or a
-    # later one touches, so only rows i.. are updated.  Step i is recorded
-    # as one int: bit j < n marks the repair factor adding column j into
-    # column i, and bit n + t the factor adding column i into column t.
-    rows = _pack_rows(M)
-    steps: list[int] = []
+    # The matrix is one int: row r takes bits r*n .. r*n+n-1, bit r*n + c
+    # being M[r, c], and column has bit 0 of every row set.  Adding column c
+    # into column t flips bit t of the rows holding bit c, which are the
+    # ones of (rows >> c) & column.  Step i leaves row i the unit row 1 << i,
+    # and later steps act only on rows holding a bit above i, so the row is
+    # checked and shifted out.  Step i is recorded in width bytes: bit j < n
+    # marks the repair factor adding column j into column i, and bit n + t
+    # the factor adding i into t.
+    rows = int.from_bytes(np.packbits(M, bitorder="little").tobytes(), "little")
+    column = ((1 << n * n) - 1) // ((1 << n) - 1) if n else 0
+    low, width = (1 << n) - 1, (2 * n + 7) // 8
+    steps: list[bytes] = []
     for i in range(n):
-        bit = 1 << i
-        step = 0
-        if not rows[i] & bit:
-            above = rows[i] >> (i + 1)
+        bit, row, step = 1 << i, rows & low, 0
+        if not row & bit:
+            above = row >> (i + 1)
             if not above:
                 raise SingularMatrixError(f"matrix is singular at row {i + 1}")
-            step = (above & -above) << (i + 1)  # bit j: the lowest set bit above i
-            rows[i:] = [r ^ bit if r & step else r for r in rows[i:]]
-        # Clearing row i adds column i into each column of targets, so every
-        # row with bit i takes the whole mask.  These factors share their
-        # source, so they commute and run in ascending column order.
-        targets = rows[i] ^ bit
-        rows[i:] = [r ^ targets if r & bit else r for r in rows[i:]]
-        steps.append(step | targets << n)
+            j = (above & -above).bit_length() + i  # the lowest set bit above i
+            rows ^= ((rows >> j) & column) << i
+            row, step = row ^ bit, 1 << j
+        # Every row with bit i takes targets, a product that stays in the
+        # row's own n-bit slot.  These factors share their source, so they
+        # commute and run in ascending column order.
+        targets = row ^ bit
+        rows ^= ((rows >> i) & column) * targets
+        assert rows & low == bit
+        rows, column = rows >> n, column >> n
+        steps.append((step | targets << n).to_bytes(width, "big"))
     # The applied product reduces T to the identity, so it equals T^-1; each
     # factor is its own inverse, hence the reversed list multiplies to T.
-    assert rows == [1 << c for c in range(n)]
-    # One unpacking expands every step, repair first, targets ascending.
-    i, at = np.divmod(np.flatnonzero(_unpack_rows(steps, 2 * n)), 2 * n)
+    assert not rows
+    # Last step first, most significant bit first: one pass reads the
+    # factors reversed, each step's targets descending, then its repair.
+    bits = np.unpackbits(np.frombuffer(b"".join(reversed(steps)), dtype=np.uint8)).view(bool)
+    i, at = np.divmod(8 * width * n - 1 - np.flatnonzero(bits), 8 * width)
     repair = at < n
-    pairs = np.stack([np.where(repair, at, i), np.where(repair, i, at - n)], axis=1)
-    return pairs[::-1] + 1
+    pairs = np.empty((len(at), 2), dtype=np.intp)
+    pairs[:, 0] = np.where(repair, at, i)
+    pairs[:, 1] = np.where(repair, i, at - n)
+    pairs += 1
+    return pairs
 
 
 def multiply_factors(factors, n: int) -> np.ndarray:

@@ -19,10 +19,11 @@ from hypermap_codes import (
     transform,
 )
 from hypermap_codes.cli import main
-from util import FIXTURES, random_cycle_hypermap, random_invertible, random_sparse_invertible
+from util import FIXTURES, GOLDEN, random_cycle_hypermap, random_invertible, random_sparse_invertible
 
 TORUS = str(FIXTURES / "torus_hypermap.json")
 TORUS_T = str(FIXTURES / "torus_basis_change.txt")
+DENSE24_T = str(FIXTURES / "dense24_basis_change.txt")
 TORIC_2X2 = str(FIXTURES / "toric_2x2_rotation.json")
 
 
@@ -513,6 +514,28 @@ def test_decompose_singular_exit_2(tmp_path, capsys):
     gf2.write_matrix(path, np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8))
     assert main(["decompose", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: matrix is singular at row 2\n")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        pytest.param(["decompose", DENSE24_T], "dense24_decompose.txt", id="decompose"),
+        pytest.param(
+            ["build", str(GOLDEN / "cycles24.json"), "--basis-change", DENSE24_T],
+            "cycles24_basis_change.txt",
+            id="build-basis-change",
+        ),
+    ],
+)
+def test_cnot_synthesis_matches_golden(capsys, argv, golden):
+    # A dense 24x24 T with 13 zeros on its diagonal (290 gates) and a random
+    # 36-dart hypermap of 3-cycles (n = 24, k = 8).  The goldens were written
+    # before synthesis held the whole matrix as one int, so a change in gate
+    # order or in output bytes fails here.
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("ascii") == (GOLDEN / golden).read_bytes()
 
 
 def test_decompose_non_square_names_the_file(tmp_path, capsys):

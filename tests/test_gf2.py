@@ -200,6 +200,54 @@ def test_elementary_pairs_match_scalar_reference():
     assert gf2.decompose_elementary(gf2.identity(7)).shape == (0, 2)
 
 
+# Sizes on both sides of each byte and 64-bit word boundary of one row.
+LAYOUT_SIZES = [1, 2, 7, 8, 9, 31, 32, 33, 63, 64, 65, 130]
+
+
+def last_column_in_row_one(n):
+    """The identity plus a 1 at row 1, column n: the highest bit of the first row."""
+    T = gf2.identity(n)
+    T[0, n - 1] = 1
+    return T
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda n: np.triu(np.ones((n, n), dtype=np.uint8)),
+        lambda n: np.tril(np.ones((n, n), dtype=np.uint8)),
+        lambda n: gf2.identity(n)[::-1],
+        last_column_in_row_one,
+    ],
+    ids=["upper-ones", "lower-ones", "reversal", "last-column-in-row-one"],
+)
+@pytest.mark.parametrize("n", LAYOUT_SIZES)
+def test_decompose_worst_case_shapes_match_reference(shape, n):
+    # Synthesis holds the whole matrix as one int, row r in bits r*n ..
+    # r*n+n-1.  Full triangles put a 1 in every slot's top or bottom bit,
+    # the reversal needs a repair at each step of its first half, and the
+    # last column of row 1 is the bit next to row 2's slot.
+    T = shape(n)
+    pairs = gf2.decompose_elementary(T)
+    assert list(map(tuple, pairs.tolist())) == reference_decompose_elementary(T)
+
+
+@pytest.mark.parametrize("n", [9, 65])
+def test_decompose_singular_first_at_each_row(n):
+    # Row r is a sum of the rows above it, which are independent, so
+    # elimination runs cleanly up to row r and stops there.
+    rng = random.Random(n)
+    invertible = random_invertible(rng, n)
+    for r in range(1, n + 1):
+        T = invertible.copy()
+        T[r - 1] = np.bitwise_xor.reduce(T[: r - 1][np.array(rng.choices([0, 1], k=r - 1), dtype=bool)], axis=0)
+        with pytest.raises(gf2.SingularMatrixError) as expected:
+            reference_decompose_elementary(T)
+        with pytest.raises(gf2.SingularMatrixError) as got:
+            gf2.decompose_elementary(T)
+        assert str(got.value) == str(expected.value) == f"matrix is singular at row {r}"
+
+
 def test_decompose_singular_message_matches_reference():
     rng = random.Random(43)
     for _ in range(30):
